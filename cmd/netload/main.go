@@ -475,7 +475,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if *dense {
 			reportShards = 1
 		}
-		fmt.Fprintf(stdout, "# shards: %d (intra-run engine shards per point; CR and -dense points always run the serial engine; results are byte-identical at any count)\n", reportShards)
+		fmt.Fprintf(stderr, "# shards: %d (intra-run engine shards per point; CR and -dense points always run the serial engine; results are byte-identical at any count)\n", reportShards)
 		if len(tlPoints) > 0 {
 			// Per-phase overhead breakdowns: each point's run segmented into
 			// warmup/steady/burst/drain from its windowed event rates.

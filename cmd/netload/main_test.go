@@ -86,20 +86,9 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 // TestRunShardedMatchesSerial is the sharded engine's CLI contract: every
 // artifact — the report table, metrics dump, Chrome trace, critical-path
 // report, and timeline — must be byte-identical at any -shards value, and
-// sharding must compose with -parallel without changing a byte either.
-// Only the "# shards:" metadata line may differ, and it is stripped before
-// comparing.
+// sharding must compose with -parallel without changing a byte either. The
+// effective shard count is run metadata and goes to stderr.
 func TestRunShardedMatchesSerial(t *testing.T) {
-	stripShardsLine := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "# shards:") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
 	runWith := func(extra ...string) (stdout, metrics, trace, critpath, tl string) {
 		dir := t.TempDir()
 		mPath := filepath.Join(dir, "m.txt")
@@ -121,7 +110,7 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 			}
 			return string(b)
 		}
-		return stripShardsLine(out.String()), read(mPath), read(tPath), read(cPath), read(tlPath)
+		return out.String(), read(mPath), read(tPath), read(cPath), read(tlPath)
 	}
 	serial := [5]string{}
 	serial[0], serial[1], serial[2], serial[3], serial[4] = runWith("-shards", "1", "-parallel", "1")
@@ -144,7 +133,7 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 }
 
 // TestRunShardsClampWarning: a -shards value beyond the topology's router
-// count is clamped with a warning, never fatal, and the report prints the
+// count is clamped with a warning, never fatal, and stderr carries the
 // effective count.
 func TestRunShardsClampWarning(t *testing.T) {
 	// The GOMAXPROCS budget clamp runs first; pin it high so the
@@ -159,8 +148,8 @@ func TestRunShardsClampWarning(t *testing.T) {
 	if !strings.Contains(errOut.String(), "clamped to 4") {
 		t.Errorf("stderr missing clamp warning:\n%s", errOut.String())
 	}
-	if !strings.Contains(out.String(), "# shards: 4") {
-		t.Errorf("report missing effective shard count:\n%s", out.String())
+	if !strings.Contains(errOut.String(), "# shards: 4") {
+		t.Errorf("stderr missing effective shard count:\n%s", errOut.String())
 	}
 }
 

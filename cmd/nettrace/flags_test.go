@@ -28,14 +28,14 @@ func TestFlagValidationTable(t *testing.T) {
 	}
 }
 
-// TestShardsLine: -shards is accepted for uniformity only, and the output
+// TestShardsLine: -shards is accepted for uniformity only, and stderr
 // says so the way netload reports its effective shard count.
 func TestShardsLine(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-figure", "4", "-packets", "2"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "# shards: 1") {
-		t.Errorf("missing # shards line:\n%s", out.String())
+	if !strings.Contains(errOut.String(), "# shards: 1") {
+		t.Errorf("stderr missing # shards line:\n%s", errOut.String())
 	}
 }

@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout, tr)
 	}
-	fmt.Fprintln(stdout, "# shards: 1 (accepted for flag uniformity; the word-level figure machines have no sharded engine)")
+	fmt.Fprintln(stderr, "# shards: 1 (accepted for flag uniformity; the word-level figure machines have no sharded engine)")
 
 	if hub != nil {
 		if *metricsOut != "" {

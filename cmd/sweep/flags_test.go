@@ -30,15 +30,15 @@ func TestFlagValidationTable(t *testing.T) {
 	}
 }
 
-// TestShardsLine: -shards is accepted for uniformity only, and the report
+// TestShardsLine: -shards is accepted for uniformity only, and stderr
 // says so the way netload reports its effective shard count.
 func TestShardsLine(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-sizes", "4", "-words", "16"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "# shards: 1") {
-		t.Errorf("missing # shards line:\n%s", out.String())
+	if !strings.Contains(errOut.String(), "# shards: 1") {
+		t.Errorf("stderr missing # shards line:\n%s", errOut.String())
 	}
 }
 

@@ -226,7 +226,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 0
 	}
 	fmt.Fprint(stdout, report.Series(title, "n", names, points))
-	fmt.Fprintln(stdout, "# shards: 1 (accepted for flag uniformity; the word-level protocol network has no sharded engine)")
+	fmt.Fprintln(stderr, "# shards: 1 (accepted for flag uniformity; the word-level protocol network has no sharded engine)")
 	return 0
 }
 

@@ -19,8 +19,9 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"msglayer/internal/obs"
@@ -201,7 +202,7 @@ type WaterfallRow struct {
 // eventTime is the moment an event "happens" on the message timeline: an
 // instant's timestamp, a span's close (spans are recorded when they end, so
 // this keeps emission order time-ordered).
-func eventTime(e obs.TraceEvent) uint64 {
+func eventTime(e *obs.TraceEvent) uint64 {
 	if e.Phase == obs.PhaseComplete {
 		return e.TS + e.Dur
 	}
@@ -214,9 +215,11 @@ var retransMarks = []string{
 	"stale", "reack", "rereply", "failed", "duplicate", "backoff",
 }
 
-// classify attributes the gap closed by event cur: what was the message
-// doing since prev? sameNode reports whether cur happened where prev did.
-func classify(name string, sameNode bool) Category {
+// ClassifyName attributes an event name alone, without gap context: the
+// category its name implies when the preceding event happened on the same
+// node. The timeline's per-window breakdowns use it on counter deltas,
+// where no per-message gap reconstruction is possible.
+func ClassifyName(name string) Category {
 	if strings.Contains(name, "backpressure") {
 		return CatBackpressure
 	}
@@ -225,47 +228,73 @@ func classify(name string, sameNode bool) Category {
 			return CatRetransmission
 		}
 	}
-	if name == "flit.wait.queue" || name == "flit.wait.blocked" || !sameNode {
+	if name == "flit.wait.queue" || name == "flit.wait.blocked" {
 		return CatQueueing
 	}
 	return CatWork
 }
 
-// ClassifyName attributes an event name alone, without gap context: the
-// category its name implies when the preceding event happened on the same
-// node. The timeline's per-window breakdowns use it on counter deltas,
-// where no per-message gap reconstruction is possible.
-func ClassifyName(name string) Category { return classify(name, true) }
+// gapCategory classifies the gap an event closes, given the category its
+// name implies and whether it happened on the node the previous event did:
+// work that lands on another node was transit, so it counts as queueing.
+func gapCategory(named Category, sameNode bool) Category {
+	if named == CatWork && !sameNode {
+		return CatQueueing
+	}
+	return named
+}
 
 // Analyze reconstructs per-message timelines from a recorded trace. The
 // slice must be in emission order (obs.Tracer.Events returns it that way).
+//
+// It makes two flat passes over the trace. The first gives each message a
+// dense index in first-appearance order and records every event's message
+// index and name-implied category (classified once per distinct name). The
+// second fills one Message arena and one Segment arena, carving each
+// message's Segments at its exact length. No per-message maps or growing
+// slices are kept, so the allocation count does not grow with the trace.
 func Analyze(events []obs.TraceEvent) *Analysis {
 	a := &Analysis{TotalEvents: len(events)}
-	byMsg := make(map[uint64]*Message)
-	lastNode := make(map[uint64]int)    // msg -> node of previous event
-	lastTime := make(map[uint64]uint64) // msg -> running cursor
-	pkts := make(map[uint64]map[uint64]bool)
-
-	for _, e := range events {
-		if e.MsgID == 0 {
+	if len(events) == 0 {
+		return a
+	}
+	msgOf, class, nmsg, nodeLo, nodeHi := indexEvents(events)
+	counts := make([]int32, nmsg)
+	for _, k := range msgOf {
+		if k >= 0 {
+			counts[k]++
+		} else {
 			a.Unattributed++
+		}
+	}
+
+	msgs := make([]Message, nmsg)
+	segs := make([]Segment, len(events)-a.Unattributed)
+	pkts := make([]pktSeen, nmsg)
+	var extra []msgPkt // (message, packet) pairs beyond each message's first packet
+	var water waterfall
+	next := 0
+	for i := range events {
+		k := msgOf[i]
+		if k < 0 {
 			continue
 		}
-		m, ok := byMsg[e.MsgID]
+		e := &events[i]
+		m := &msgs[k]
 		t := eventTime(e)
-		if !ok {
-			m = &Message{
+		if m.ID == 0 {
+			n := next + int(counts[k])
+			*m = Message{
 				ID:        e.MsgID,
 				Synthetic: e.MsgID >= syntheticBase,
 				Proto:     e.Proto,
 				SrcNode:   e.Node,
 				DstNode:   e.Node,
 				Start:     t,
+				End:       t,
+				Segments:  segs[next:next:n],
 			}
-			byMsg[e.MsgID] = m
-			a.Messages = append(a.Messages, m)
-			lastNode[e.MsgID] = e.Node
-			lastTime[e.MsgID] = t
+			next = n
 		}
 		if m.DstNode == m.SrcNode && e.Node != m.SrcNode && e.Node >= 0 {
 			m.DstNode = e.Node
@@ -283,49 +312,56 @@ func Analyze(events []obs.TraceEvent) *Analysis {
 		} else {
 			m.Events++
 		}
-		if e.PktID != 0 {
-			set := pkts[e.MsgID]
-			if set == nil {
-				set = make(map[uint64]bool)
-				pkts[e.MsgID] = set
+		if p := e.PktID; p != 0 {
+			s := &pkts[k]
+			switch {
+			case s.first == 0:
+				s.first, s.last = p, p
+			case p != s.last:
+				s.last = p
+				if p != s.first {
+					extra = append(extra, msgPkt{k, p})
+				}
 			}
-			set[e.PktID] = true
 		}
 
-		cursor := lastTime[e.MsgID]
+		cursor := m.End
 		to := t
 		if to < cursor {
 			to = cursor // clamped: span starts can precede the cursor
 		}
+		cat := gapCategory(class[i], len(m.Segments) == 0 || e.Node == m.Segments[len(m.Segments)-1].Node)
 		role := roleOf(e.Node, m.SrcNode)
-		cat := classify(e.Name, e.Node == lastNode[e.MsgID])
-		seg := Segment{
+		m.Segments = append(m.Segments, Segment{
 			From: cursor, To: to,
 			Name: e.Name, Node: e.Node, Proto: e.Proto, Axis: e.Axis,
 			Cat: cat, Role: role,
-		}
-		m.Segments = append(m.Segments, seg)
+		})
 		units := to - cursor
 		m.ByCategory[cat] += units
 		m.ByRole[role] += units
 		if cat == CatWork {
 			m.ByAxis[e.Axis] += units
+			if units > 0 {
+				water.add(WaterfallRow{Role: role, Proto: e.Proto, Axis: e.Axis}, units)
+			}
 		}
 		if cat == CatRetransmission && e.Phase != obs.PhaseComplete {
 			m.Retries++
 		}
 		m.End = to
 		m.Latency = m.End - m.Start
-		lastTime[e.MsgID] = to
-		lastNode[e.MsgID] = e.Node
 	}
+	countPackets(msgs, pkts, extra)
 
-	sort.Slice(a.Messages, func(i, j int) bool {
-		return a.Messages[i].Start < a.Messages[j].Start || (a.Messages[i].Start == a.Messages[j].Start && a.Messages[i].ID < a.Messages[j].ID)
-	})
-	water := make(map[WaterfallRow]uint64)
-	for _, m := range a.Messages {
-		m.Packets = len(pkts[m.ID])
+	if nmsg > 0 {
+		a.Messages = make([]*Message, nmsg)
+		a.Latencies = make([]uint64, nmsg)
+	}
+	for k := range msgs {
+		m := &msgs[k]
+		a.Messages[k] = m
+		a.Latencies[k] = m.Latency
 		for c := 0; c < numCategories; c++ {
 			a.ByCategory[c] += m.ByCategory[c]
 		}
@@ -335,30 +371,173 @@ func Analyze(events []obs.TraceEvent) *Analysis {
 		for x := 0; x < numAxes; x++ {
 			a.ByAxis[x] += m.ByAxis[x]
 		}
-		for _, s := range m.Segments {
-			if s.Cat == CatWork && s.To > s.From {
-				water[WaterfallRow{Role: s.Role, Proto: s.Proto, Axis: s.Axis}] += s.To - s.From
-			}
-		}
-		a.Latencies = append(a.Latencies, m.Latency)
 	}
-	for k, v := range water {
-		k.Units = v
-		a.Waterfall = append(a.Waterfall, k)
-	}
-	sort.Slice(a.Waterfall, func(i, j int) bool {
-		x, y := a.Waterfall[i], a.Waterfall[j]
-		if x.Role != y.Role {
-			return x.Role < y.Role
+	slices.SortFunc(a.Messages, func(x, y *Message) int {
+		if c := cmp.Compare(x.Start, y.Start); c != 0 {
+			return c
 		}
-		if x.Proto != y.Proto {
-			return x.Proto < y.Proto
-		}
-		return x.Axis < y.Axis
+		return cmp.Compare(x.ID, y.ID)
 	})
-	sort.Slice(a.Latencies, func(i, j int) bool { return a.Latencies[i] < a.Latencies[j] })
-	a.Critical = criticalPath(events)
+	slices.Sort(a.Latencies)
+	a.Waterfall = water.rows()
+	a.Critical = criticalPath(events, msgOf, nmsg, class, nodeLo, nodeHi)
 	return a
+}
+
+// indexEvents is Analyze's first pass. It returns each event's dense message
+// index (-1 for events with no message identity; indices follow first
+// appearance) and name-implied category (ClassifyName), the number
+// of messages, and the range of node values.
+func indexEvents(events []obs.TraceEvent) (msgOf []int32, class []Category, nmsg int, nodeLo, nodeHi int) {
+	idLo, idHi := ^uint64(0), uint64(0)
+	nodeLo, nodeHi = events[0].Node, events[0].Node
+	for i := range events {
+		e := &events[i]
+		if e.MsgID != 0 {
+			idLo, idHi = min(idLo, e.MsgID), max(idHi, e.MsgID)
+		}
+		nodeLo, nodeHi = min(nodeLo, e.Node), max(nodeHi, e.Node)
+	}
+	ids := newDenseIndex(idLo, idHi, len(events))
+	msgOf = make([]int32, len(events))
+	class = make([]Category, len(events))
+	names := make(map[string]Category)
+	prev := ""
+	var prevCat Category
+	for i := range events {
+		e := &events[i]
+		if e.Name != prev || i == 0 {
+			c, ok := names[e.Name]
+			if !ok {
+				c = ClassifyName(e.Name)
+				names[e.Name] = c
+			}
+			prev, prevCat = e.Name, c
+		}
+		class[i] = prevCat
+		msgOf[i] = -1
+		if e.MsgID != 0 {
+			msgOf[i] = ids.get(e.MsgID)
+		}
+	}
+	return msgOf, class, int(ids.n), nodeLo, nodeHi
+}
+
+// denseIndex numbers keys 0, 1, 2, ... in first-seen order. Keys whose
+// range is narrow (hub-allocated message ids, the flit simulator's synthetic
+// ids, node numbers) index a flat table; a wider mix falls back to a map.
+type denseIndex struct {
+	lo   uint64
+	slot []int32 // key-lo -> index+1; nil when the range is too wide
+	m    map[uint64]int32
+	n    int32
+}
+
+// newDenseIndex sizes an index for keys in [lo, hi], using a flat table
+// when the range holds at most limit keys. Ranges are compared in wrapping
+// arithmetic, so lo and hi may be any two's-complement values with lo <= hi.
+func newDenseIndex(lo, hi uint64, limit int) *denseIndex {
+	d := &denseIndex{lo: lo}
+	if hi-lo < uint64(limit) {
+		d.slot = make([]int32, hi-lo+1)
+	} else {
+		d.m = make(map[uint64]int32)
+	}
+	return d
+}
+
+// get returns the key's index, numbering it if it is new.
+func (d *denseIndex) get(key uint64) int32 {
+	if d.slot != nil {
+		s := &d.slot[key-d.lo]
+		if *s == 0 {
+			d.n++
+			*s = d.n
+		}
+		return *s - 1
+	}
+	k, ok := d.m[key]
+	if !ok {
+		k = d.n
+		d.n++
+		d.m[key] = k
+	}
+	return k
+}
+
+// pktSeen is a message's first and latest non-zero packet id.
+type pktSeen struct{ first, last uint64 }
+
+// msgPkt records that message msg saw packet pkt, a packet id other than
+// its first.
+type msgPkt struct {
+	msg int32
+	pkt uint64
+}
+
+// countPackets sets each message's distinct packet count: one for its
+// first packet id plus the distinct others recorded in extra. Most messages
+// carry a single packet id and never reach extra.
+func countPackets(msgs []Message, pkts []pktSeen, extra []msgPkt) {
+	for k := range msgs {
+		if pkts[k].first != 0 {
+			msgs[k].Packets = 1
+		}
+	}
+	slices.SortFunc(extra, func(x, y msgPkt) int {
+		if c := cmp.Compare(x.msg, y.msg); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.pkt, y.pkt)
+	})
+	for i, p := range extra {
+		if i == 0 || p != extra[i-1] {
+			msgs[p.msg].Packets++
+		}
+	}
+}
+
+// waterfall accumulates work units per (role, proto, axis). Consecutive
+// work segments usually share a row, so the last row is checked before the
+// map.
+type waterfall struct {
+	list []WaterfallRow
+	at   map[WaterfallRow]int // row with Units zeroed -> position in list
+	last int
+}
+
+func (w *waterfall) add(key WaterfallRow, units uint64) {
+	if len(w.list) > 0 {
+		if r := &w.list[w.last]; r.Role == key.Role && r.Axis == key.Axis && r.Proto == key.Proto {
+			r.Units += units
+			return
+		}
+	}
+	if w.at == nil {
+		w.at = make(map[WaterfallRow]int)
+	}
+	i, ok := w.at[key]
+	if !ok {
+		i = len(w.list)
+		w.at[key] = i
+		w.list = append(w.list, key)
+	}
+	w.list[i].Units += units
+	w.last = i
+}
+
+// rows returns the accumulated rows in (role, proto, axis) order.
+func (w *waterfall) rows() []WaterfallRow {
+	slices.SortFunc(w.list, func(x, y WaterfallRow) int {
+		if x.Role != y.Role {
+			return cmp.Compare(x.Role, y.Role)
+		}
+		if c := strings.Compare(x.Proto, y.Proto); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Axis, y.Axis)
+	})
+	return w.list
 }
 
 // syntheticBase mirrors the flit simulator's synthetic message-id offset.
@@ -415,50 +594,51 @@ func (a *Analysis) MeanLatency() float64 {
 // criticalPath chains events across messages: an event's predecessor is the
 // later of the previous event of its message and the previous event on its
 // node, and the path is the backward chain from the run's last event. One
-// forward pass records predecessor indices; the backtrack is O(path).
-func criticalPath(events []obs.TraceEvent) CriticalPath {
+// forward pass records predecessor indices, reusing Analyze's message
+// indices; the backtrack is O(path) and sizes Steps exactly.
+func criticalPath(events []obs.TraceEvent, msgOf []int32, nmsg int, class []Category, nodeLo, nodeHi int) CriticalPath {
 	var cp CriticalPath
-	if len(events) == 0 {
-		return cp
-	}
 	pred := make([]int32, len(events))
-	lastOfMsg := make(map[uint64]int32)
-	lastOnNode := make(map[int]int32)
-	for i, e := range events {
+	lastOfMsg := make([]int32, nmsg) // message -> latest event index+1
+	nodes := newDenseIndex(uint64(nodeLo), uint64(nodeHi), len(events))
+	var lastOnNode []int32 // node index -> latest event index+1
+	for i := range events {
 		p := int32(-1)
-		if j, ok := lastOfMsg[e.MsgID]; ok && e.MsgID != 0 {
-			p = j
+		if k := msgOf[i]; k >= 0 {
+			p = lastOfMsg[k] - 1
+			lastOfMsg[k] = int32(i) + 1
 		}
-		if j, ok := lastOnNode[e.Node]; ok && j > p {
-			p = j
+		j := nodes.get(uint64(events[i].Node))
+		if int(j) == len(lastOnNode) {
+			lastOnNode = append(lastOnNode, 0)
 		}
+		if q := lastOnNode[j] - 1; q > p {
+			p = q
+		}
+		lastOnNode[j] = int32(i) + 1
 		pred[i] = p
-		if e.MsgID != 0 {
-			lastOfMsg[e.MsgID] = int32(i)
-		}
-		lastOnNode[e.Node] = int32(i)
 	}
-	var chain []int32
+	n := 0
 	for i := int32(len(events) - 1); i >= 0; i = pred[i] {
-		chain = append(chain, i)
+		n++
 	}
-	// Reverse into time order and build steps.
-	var prevTime uint64
-	var prevNode int
-	for k := len(chain) - 1; k >= 0; k-- {
-		e := events[chain[k]]
-		t := eventTime(e)
-		if t < prevTime {
-			t = prevTime
+	// Fill the steps backward with each event's raw time and name-implied
+	// category, then walk forward clamping times and classifying gaps.
+	cp.Steps = make([]PathStep, n)
+	for i := int32(len(events) - 1); i >= 0; i = pred[i] {
+		n--
+		e := &events[i]
+		cp.Steps[n] = PathStep{Name: e.Name, Node: e.Node, MsgID: e.MsgID, Time: eventTime(e), Cat: class[i]}
+	}
+	cp.Steps[0].Cat = 0 // the first step closes no gap
+	for k := 1; k < len(cp.Steps); k++ {
+		s, prev := &cp.Steps[k], &cp.Steps[k-1]
+		if s.Time < prev.Time {
+			s.Time = prev.Time
 		}
-		step := PathStep{Name: e.Name, Node: e.Node, MsgID: e.MsgID, Time: t}
-		if len(cp.Steps) > 0 {
-			step.Gap = t - prevTime
-			step.Cat = classify(e.Name, e.Node == prevNode)
-			cp.ByCategory[step.Cat] += step.Gap
-		}
-		cp.Steps = append(cp.Steps, step)
-		prevTime, prevNode = t, e.Node
+		s.Gap = s.Time - prev.Time
+		s.Cat = gapCategory(s.Cat, s.Node == prev.Node)
+		cp.ByCategory[s.Cat] += s.Gap
 	}
 	if n := len(cp.Steps); n > 1 {
 		cp.Span = cp.Steps[n-1].Time - cp.Steps[0].Time

@@ -2,6 +2,7 @@ package critpath_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -273,5 +274,52 @@ func TestQuantileExact(t *testing.T) {
 		if !found {
 			t.Fatalf("quantile %.2f = %d is not an observed latency", q, v)
 		}
+	}
+}
+
+// TestSlowestMessagesOrder pins the report's slowest-messages list to
+// latency descending, ties by ascending ID, whatever the input order.
+func TestSlowestMessagesOrder(t *testing.T) {
+	a := &critpath.Analysis{}
+	for i, lat := range []uint64{5, 9, 5, 9, 1, 9, 7} {
+		id := uint64(70 - 10*i) // IDs descend through the input
+		a.Messages = append(a.Messages, &critpath.Message{ID: id, Latency: lat})
+		a.Latencies = append(a.Latencies, lat)
+	}
+	var b bytes.Buffer
+	if err := critpath.WriteText(&b, a); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "msg" {
+			got = append(got, f[1])
+		}
+	}
+	if got, want := strings.Join(got, " "), "20 40 60 10 50"; got != want {
+		t.Fatalf("slowest messages %s, want %s", got, want)
+	}
+}
+
+// TestAnalyzeExtremeNodes: node values at both ends of int share a trace
+// (the node index spans the whole range) and the critical path still
+// chains through each node's previous event.
+func TestAnalyzeExtremeNodes(t *testing.T) {
+	events := []obs.TraceEvent{
+		{TS: 1, Node: math.MinInt, Name: "a", MsgID: 1},
+		{TS: 2, Node: math.MaxInt, Name: "b", MsgID: 2},
+		{TS: 3, Node: math.MinInt, Name: "c"},
+		{TS: 4, Node: math.MaxInt, Name: "d", MsgID: 2},
+	}
+	a := critpath.Analyze(events)
+	var names []string
+	for _, s := range a.Critical.Steps {
+		names = append(names, s.Name)
+	}
+	if got := strings.Join(names, " "); got != "b d" {
+		t.Fatalf("critical path %q, want %q", got, "b d")
+	}
+	if len(a.Messages) != 2 || a.Unattributed != 1 {
+		t.Fatalf("%d messages, %d unattributed; want 2, 1", len(a.Messages), a.Unattributed)
 	}
 }

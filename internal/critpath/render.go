@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"msglayer/internal/obs"
 )
@@ -77,18 +76,7 @@ func WriteText(w io.Writer, a *Analysis) error {
 	if err := p("\nslowest messages:\n"); err != nil {
 		return err
 	}
-	slow := make([]*Message, len(a.Messages))
-	copy(slow, a.Messages)
-	sort.SliceStable(slow, func(i, j int) bool {
-		if slow[i].Latency != slow[j].Latency {
-			return slow[i].Latency > slow[j].Latency
-		}
-		return slow[i].ID < slow[j].ID
-	})
-	if len(slow) > 5 {
-		slow = slow[:5]
-	}
-	for _, m := range slow {
+	for _, m := range slowest(a.Messages, 5) {
 		if err := p("  msg %s proto %-8s %d->%d  latency %d  (work %d, queueing %d, backpressure %d, retrans %d; %d pkts, %d retries)\n",
 			msgLabel(m), m.Proto, m.SrcNode, m.DstNode, m.Latency,
 			m.ByCategory[CatWork], m.ByCategory[CatQueueing],
@@ -124,6 +112,31 @@ func WriteText(w io.Writer, a *Analysis) error {
 		}
 	}
 	return nil
+}
+
+// slowest returns the n messages with the longest latency, longest first
+// and ties by ascending ID. It is a bounded insertion selection, O(len(msgs))
+// for a fixed n, and matches a stable sort of the whole list cut to n.
+func slowest(msgs []*Message, n int) []*Message {
+	slower := func(x, y *Message) bool {
+		return x.Latency > y.Latency || x.Latency == y.Latency && x.ID < y.ID
+	}
+	top := make([]*Message, 0, n)
+	for _, m := range msgs {
+		if len(top) == n {
+			if !slower(m, top[n-1]) {
+				continue
+			}
+			top = top[:n-1]
+		}
+		i := len(top)
+		top = append(top, m)
+		for ; i > 0 && slower(m, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = m
+	}
+	return top
 }
 
 // pct renders a part/whole share, guarding the empty case.
@@ -355,7 +368,7 @@ func WriteChromeFlow(w io.Writer, events []obs.TraceEvent) error {
 		id := e.MsgID
 		flow := chromeFlowEvent{
 			Name: "msg", Cat: "flow", Phase: ph,
-			TS: eventTime(e), PID: 1, TID: tidOf(e.Node), ID: &id,
+			TS: eventTime(&e), PID: 1, TID: tidOf(e.Node), ID: &id,
 		}
 		if ph == "f" {
 			flow.BP = "e" // bind the arrow head to the enclosing slice

@@ -16,12 +16,27 @@ import (
 type Gauge struct {
 	counts [NumRoles][NumFeatures][NumCategories]uint64
 	subs   [NumRoles][NumSubs][NumCategories]uint64
-	events map[string]uint64
+	events []eventCount // in first-seen order; a node sees a few dozen names
+}
+
+// eventCount is one named event's occurrence count.
+type eventCount struct {
+	name string
+	n    uint64
 }
 
 // NewGauge returns an empty gauge.
-func NewGauge() *Gauge {
-	return &Gauge{events: make(map[string]uint64)}
+func NewGauge() *Gauge { return &Gauge{} }
+
+// event returns the count slot for a name, adding it if absent.
+func (g *Gauge) event(name string) *uint64 {
+	for i := range g.events {
+		if g.events[i].name == name {
+			return &g.events[i].n
+		}
+	}
+	g.events = append(g.events, eventCount{name: name})
+	return &g.events[len(g.events)-1].n
 }
 
 // Charge records a bundle of instruction items against (role, feature).
@@ -48,16 +63,23 @@ func (g *Gauge) ChargeVec(r Role, f Feature, v Vec) {
 // received, out-of-order arrival, ...). Events do not contribute to
 // instruction counts; they let tests and reports explain where counts came
 // from.
-func (g *Gauge) CountEvent(name string) { g.events[name]++ }
+func (g *Gauge) CountEvent(name string) { *g.event(name)++ }
 
 // Events returns the number of occurrences of a named event.
-func (g *Gauge) Events(name string) uint64 { return g.events[name] }
+func (g *Gauge) Events(name string) uint64 {
+	for _, e := range g.events {
+		if e.name == name {
+			return e.n
+		}
+	}
+	return 0
+}
 
 // EventNames returns all recorded event names in sorted order.
 func (g *Gauge) EventNames() []string {
 	names := make([]string, 0, len(g.events))
-	for n := range g.events {
-		names = append(names, n)
+	for _, e := range g.events {
+		names = append(names, e.name)
 	}
 	sort.Strings(names)
 	return names
@@ -115,14 +137,14 @@ func (g *Gauge) Add(other *Gauge) {
 			}
 		}
 	}
-	for n, k := range other.events {
-		g.events[n] += k
+	for _, e := range other.events {
+		*g.event(e.name) += e.n
 	}
 }
 
 // Reset zeroes the gauge.
 func (g *Gauge) Reset() {
-	*g = Gauge{events: make(map[string]uint64)}
+	*g = Gauge{}
 }
 
 // Snapshot returns a deep copy of the gauge.
@@ -156,9 +178,9 @@ func (g *Gauge) Diff(prev *Gauge) *Gauge {
 			}
 		}
 	}
-	for n, k := range g.events {
-		if p := prev.events[n]; k > p {
-			d.events[n] = k - p
+	for _, e := range g.events {
+		if p := prev.Events(e.name); e.n > p {
+			d.events = append(d.events, eventCount{e.name, e.n - p})
 		}
 	}
 	return d

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -229,5 +230,42 @@ func TestGaugeAdditivityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Diff lists only the events that grew since the snapshot, and a snapshot's
+// event counts do not move with the gauge it was taken from.
+func TestGaugeEventDiffAndSnapshotIsolation(t *testing.T) {
+	g := NewGauge()
+	g.CountEvent("b")
+	g.CountEvent("a")
+	snap := g.Snapshot()
+	g.CountEvent("b")
+	g.CountEvent("c")
+	if snap.Events("b") != 1 || snap.Events("c") != 0 {
+		t.Errorf("snapshot events moved: b=%d c=%d", snap.Events("b"), snap.Events("c"))
+	}
+	d := g.Diff(snap)
+	if names := d.EventNames(); !reflect.DeepEqual(names, []string{"b", "c"}) {
+		t.Errorf("Diff EventNames = %v, want [b c]", names)
+	}
+	if d.Events("a") != 0 || d.Events("b") != 1 || d.Events("c") != 1 {
+		t.Errorf("Diff events a=%d b=%d c=%d", d.Events("a"), d.Events("b"), d.Events("c"))
+	}
+}
+
+// Counting an already-seen event allocates nothing.
+func TestCountEventAllocatesNothing(t *testing.T) {
+	g := NewGauge()
+	names := []string{"finite.packet.sent", "finite.packet.recv", "stream.ack.sent"}
+	for _, n := range names {
+		g.CountEvent(n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range names {
+			g.CountEvent(n)
+		}
+	}); allocs != 0 {
+		t.Errorf("CountEvent made %v allocations, want 0", allocs)
 	}
 }

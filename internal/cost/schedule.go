@@ -1,6 +1,9 @@
 package cost
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Schedule is the calibration table mapping messaging-layer protocol events
 // to instruction-charge bundles. It plays the role of the CMAM SPARC
@@ -76,14 +79,35 @@ type Schedule struct {
 	CRRetryBookkeep   Items // software cost of a rejected header retry
 }
 
+// paperSchedules memoizes one read-only paper schedule per packet size;
+// NewPaperSchedule hands out shallow copies of them.
+var paperSchedules sync.Map // int -> *Schedule
+
 // NewPaperSchedule returns the schedule calibrated to the paper's CM-5/CMAM
 // measurements for hardware packets carrying n data words. n must be a
 // positive even number (double-word loads/stores move two words at a time);
 // the paper's CM-5 has n = 4 and Figure 8 sweeps n from 4 to 128.
+//
+// Each call returns a fresh Schedule whose bundles are shared, read-only
+// and clipped to their length: assigning a field of the copy, or appending
+// to one of its bundles, never affects another caller. Writing into a
+// bundle's elements is not allowed. NewPaperSchedule is safe for
+// concurrent use.
 func NewPaperSchedule(n int) (*Schedule, error) {
 	if n <= 0 || n%2 != 0 {
 		return nil, fmt.Errorf("cost: packet payload must be a positive even word count, got %d", n)
 	}
+	shared, ok := paperSchedules.Load(n)
+	if !ok {
+		shared, _ = paperSchedules.LoadOrStore(n, buildPaperSchedule(n))
+	}
+	c := *shared.(*Schedule)
+	return &c, nil
+}
+
+// buildPaperSchedule builds the paper schedule for a valid packet size n,
+// with every bundle clipped to its length.
+func buildPaperSchedule(n int) *Schedule {
 	h := uint64(n) / 2 // double-word operations moving the payload
 
 	s := &Schedule{
@@ -372,7 +396,10 @@ func NewPaperSchedule(n int) (*Schedule, error) {
 		},
 		CRRetryBookkeep: nil, // header rejection/retry is handled by the NI
 	}
-	return s, nil
+	for _, b := range s.bundles() {
+		*b = (*b)[:len(*b):len(*b)]
+	}
+	return s
 }
 
 // MustPaperSchedule is NewPaperSchedule that panics on invalid n; for use in
@@ -471,30 +498,26 @@ func (s *Schedule) Validate() error {
 	if s.PacketWords <= 0 || s.PacketWords%2 != 0 {
 		return fmt.Errorf("cost: schedule %q has invalid packet payload %d", s.Name, s.PacketWords)
 	}
-	type anchor struct {
-		name string
-		got  uint64
-		want uint64
-	}
-	var anchors []anchor
 	// The published anchors hold only for the unmodified paper schedule;
 	// derived schedules (improved NI) legitimately change dev counts.
-	if s.Name == "cmam-paper" {
-		anchors = append(anchors,
-			anchor{"single-packet send", s.SendSingle.Total(), 20},
-			anchor{"single-packet receive", s.RecvSingle.Total(), 27},
-		)
-		bufSrc := s.AllocRequestSend.Vec().Add(s.AllocReplyRecv.Vec())
-		bufDst := s.AllocRequestRecv.Vec().
-			Add(s.SegmentAllocate.Vec()).
-			Add(s.AllocReplySend.Vec()).
-			Add(s.SegmentDeallocate.Vec())
-		anchors = append(anchors,
-			anchor{"finite buffer mgmt source", bufSrc.Total(), 47},
-			anchor{"finite buffer mgmt destination", bufDst.Total(), 101},
-			anchor{"finite fault tol source", s.XferAckRecv.Total(), 27},
-			anchor{"finite fault tol destination", s.XferAckSend.Total(), 20},
-		)
+	if s.Name != "cmam-paper" {
+		return nil
+	}
+	bufSrc := s.AllocRequestSend.Vec().Add(s.AllocReplyRecv.Vec())
+	bufDst := s.AllocRequestRecv.Vec().
+		Add(s.SegmentAllocate.Vec()).
+		Add(s.AllocReplySend.Vec()).
+		Add(s.SegmentDeallocate.Vec())
+	anchors := [...]struct {
+		name      string
+		got, want uint64
+	}{
+		{"single-packet send", s.SendSingle.Total(), 20},
+		{"single-packet receive", s.RecvSingle.Total(), 27},
+		{"finite buffer mgmt source", bufSrc.Total(), 47},
+		{"finite buffer mgmt destination", bufDst.Total(), 101},
+		{"finite fault tol source", s.XferAckRecv.Total(), 27},
+		{"finite fault tol destination", s.XferAckSend.Total(), 20},
 	}
 	for _, a := range anchors {
 		if a.got != a.want {

@@ -1,7 +1,9 @@
 package cost
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -357,5 +359,90 @@ func TestDescribeListsEveryBundle(t *testing.T) {
 	// Every bundle appears: 40 names plus the header line.
 	if got := strings.Count(out, "\n"); got != 41 {
 		t.Errorf("Describe has %d lines, want 41", got)
+	}
+}
+
+// The memoized schedule is exactly the one an uncached build produces, for
+// every packet size Figure 8 can ask for, and each call gets its own copy.
+func TestMemoizedScheduleMatchesFreshBuild(t *testing.T) {
+	for n := 2; n <= 128; n += 2 {
+		got := MustPaperSchedule(n)
+		if want := buildPaperSchedule(n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: memoized schedule differs from a fresh build", n)
+		}
+		if again := MustPaperSchedule(n); again == got {
+			t.Fatalf("n=%d: two calls returned the same *Schedule", n)
+		}
+	}
+}
+
+// Whatever one caller does to its copy — assigning fields, appending to a
+// bundle, deriving variants — the next caller sees the pristine schedule.
+func TestScheduleCopiesAreIsolated(t *testing.T) {
+	pristine := buildPaperSchedule(4)
+
+	a := MustPaperSchedule(4)
+	a.Name = "edited"
+	a.PacketWords = 6
+	a.SendSingle = Items{{Reg, SubCallRet, 1}}
+	for _, b := range a.bundles() {
+		_ = append(*b, Item{Reg, SubBookkeeping, 1000})
+	}
+	_ = a.RecvSingle.Append(Items{{Mem, SubDataMove, 99}})
+	_ = MustPaperSchedule(4).WithImprovedNI(4)
+	_ = MustPaperSchedule(4).WithInterruptReception(30)
+
+	if got := MustPaperSchedule(4); !reflect.DeepEqual(got, pristine) {
+		t.Fatal("a caller's edits leaked into the shared schedule")
+	}
+	for _, b := range MustPaperSchedule(4).bundles() {
+		if cap(*b) != len(*b) {
+			t.Fatalf("shared bundle has spare capacity %d > %d: an append would write into it", cap(*b), len(*b))
+		}
+	}
+}
+
+// Concurrent first calls for the same and different packet sizes all get
+// equal, independent schedules (run under -race to check the memo).
+func TestNewPaperScheduleConcurrent(t *testing.T) {
+	// Empty the memo so every run of this test races on first fills.
+	paperSchedules.Range(func(n, _ any) bool {
+		paperSchedules.Delete(n)
+		return true
+	})
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 200; n <= 260; n += 2 {
+				s := MustPaperSchedule(n + 2*(g%2))
+				if s.PacketWords != n+2*(g%2) || s.Validate() != nil {
+					errs <- "bad schedule"
+					return
+				}
+				s.Name = "mine" // each goroutine writes its own copy
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if got := MustPaperSchedule(200); got.Name != "cmam-paper" {
+		t.Errorf("shared schedule renamed to %q", got.Name)
+	}
+}
+
+func TestValidateAllocatesNothing(t *testing.T) {
+	s := MustPaperSchedule(4)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate made %v allocations, want 0", allocs)
 	}
 }

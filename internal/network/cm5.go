@@ -36,9 +36,10 @@ type flowState struct {
 // buffering, and fault detection without correction.
 type CM5Net struct {
 	cfg    CM5Config
-	queues [][]Packet // deliverable packets per destination
+	queues []fifo // deliverable packets per destination
 	flows  map[flowKey]*flowState
 	byDst  [][]*flowState // flows targeting each destination, for flushing
+	slab   payloadSlab
 	stats  Stats
 	obs    *obs.NetScope
 }
@@ -62,7 +63,7 @@ func NewCM5Net(cfg CM5Config) (*CM5Net, error) {
 	}
 	return &CM5Net{
 		cfg:    cfg,
-		queues: make([][]Packet, cfg.Nodes),
+		queues: make([]fifo, cfg.Nodes),
 		flows:  make(map[flowKey]*flowState),
 		byDst:  make([][]*flowState, cfg.Nodes),
 	}, nil
@@ -100,7 +101,7 @@ func (n *CM5Net) PacketWords() int { return n.cfg.PacketWords }
 
 // inFlight counts packets buffered toward a destination, queued or held.
 func (n *CM5Net) inFlight(dst int) int {
-	count := len(n.queues[dst])
+	count := n.queues[dst].len()
 	for _, f := range n.byDst[dst] {
 		count += f.held
 	}
@@ -127,7 +128,7 @@ func (n *CM5Net) Inject(p Packet) error {
 	}
 	p.flow = f.nextSeq
 	f.nextSeq++
-	p.Data = clonePayload(p.Data)
+	p.Data = n.slab.clone(p.Data)
 	n.stats.Injected++
 	n.obs.Injected()
 
@@ -140,10 +141,10 @@ func (n *CM5Net) Inject(p Packet) error {
 		p.Corrupt = true
 	}
 
-	before := f.held + 1
-	released := f.reorderer.Push(p)
-	f.held = before - len(released)
-	n.queues[p.Dst] = append(n.queues[p.Dst], released...)
+	q := &n.queues[p.Dst]
+	queued := len(q.buf)
+	q.buf = f.reorderer.Push(q.buf, p)
+	f.held += 1 - (len(q.buf) - queued) // p went in, the released packets out
 	return nil
 }
 
@@ -154,20 +155,20 @@ func (n *CM5Net) TryRecv(node int) (Packet, bool) {
 	if node < 0 || node >= n.cfg.Nodes {
 		return Packet{}, false
 	}
-	if len(n.queues[node]) == 0 {
+	q := &n.queues[node]
+	if q.len() == 0 {
 		for _, f := range n.byDst[node] {
 			if f.held > 0 {
-				released := f.reorderer.Flush()
-				f.held -= len(released)
-				n.queues[node] = append(n.queues[node], released...)
+				queued := len(q.buf)
+				q.buf = f.reorderer.Flush(q.buf)
+				f.held -= len(q.buf) - queued
 			}
 		}
 	}
-	if len(n.queues[node]) == 0 {
+	p, ok := q.pop()
+	if !ok {
 		return Packet{}, false
 	}
-	p := n.queues[node][0]
-	n.queues[node] = n.queues[node][1:]
 	n.stats.Delivered++
 	n.obs.Delivered()
 	if p.Corrupt {

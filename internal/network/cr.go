@@ -39,9 +39,10 @@ type Acceptor func(Packet) bool
 // place of software buffer preallocation.
 type CRNet struct {
 	cfg       CRConfig
-	queues    [][]Packet
+	queues    []fifo
 	acceptors []Acceptor
 	flowSeq   map[flowKey]uint64
+	slab      payloadSlab
 	stats     Stats
 	obs       *obs.NetScope
 }
@@ -59,7 +60,7 @@ func NewCRNet(cfg CRConfig) (*CRNet, error) {
 	}
 	return &CRNet{
 		cfg:       cfg,
-		queues:    make([][]Packet, cfg.Nodes),
+		queues:    make([]fifo, cfg.Nodes),
 		acceptors: make([]Acceptor, cfg.Nodes),
 		flowSeq:   make(map[flowKey]uint64),
 	}, nil
@@ -95,7 +96,7 @@ func (n *CRNet) QueueDepth(node int) int {
 	if node < 0 || node >= n.cfg.Nodes {
 		return 0
 	}
-	return len(n.queues[node])
+	return n.queues[node].len()
 }
 
 // Nodes implements Network.
@@ -118,7 +119,7 @@ func (n *CRNet) Inject(p Packet) error {
 		n.obs.Rejected(p.Dst)
 		return ErrRejected
 	}
-	if n.cfg.Capacity > 0 && len(n.queues[p.Dst]) >= n.cfg.Capacity {
+	if n.cfg.Capacity > 0 && n.queues[p.Dst].len() >= n.cfg.Capacity {
 		n.stats.Backpressure++
 		n.obs.Backpressure(p.Dst)
 		return ErrBackpressure
@@ -137,20 +138,22 @@ func (n *CRNet) Inject(p Packet) error {
 	key := flowKey{p.Src, p.Dst}
 	p.flow = n.flowSeq[key]
 	n.flowSeq[key]++
-	p.Data = clonePayload(p.Data)
+	p.Data = n.slab.clone(p.Data)
 	n.stats.Injected++
 	n.obs.Injected()
-	n.queues[p.Dst] = append(n.queues[p.Dst], p)
+	n.queues[p.Dst].push(p)
 	return nil
 }
 
 // TryRecv implements Network.
 func (n *CRNet) TryRecv(node int) (Packet, bool) {
-	if node < 0 || node >= n.cfg.Nodes || len(n.queues[node]) == 0 {
+	if node < 0 || node >= n.cfg.Nodes {
 		return Packet{}, false
 	}
-	p := n.queues[node][0]
-	n.queues[node] = n.queues[node][1:]
+	p, ok := n.queues[node].pop()
+	if !ok {
+		return Packet{}, false
+	}
 	n.stats.Delivered++
 	n.obs.Delivered()
 	return p, true
@@ -159,8 +162,8 @@ func (n *CRNet) TryRecv(node int) (Packet, bool) {
 // Pending implements Network.
 func (n *CRNet) Pending() int {
 	total := 0
-	for _, q := range n.queues {
-		total += len(q)
+	for i := range n.queues {
+		total += n.queues[i].len()
 	}
 	return total
 }

@@ -78,7 +78,8 @@ type Network interface {
 	PacketWords() int
 	// Inject attempts to insert a packet. It may fail with
 	// ErrBackpressure (finite buffering) or ErrRejected (CR header
-	// rejection); both leave the network unchanged.
+	// rejection); both leave the network unchanged. Inject copies the
+	// payload: the caller may reuse p.Data once it returns.
 	Inject(p Packet) error
 	// TryRecv pops the next deliverable packet for a node, reporting
 	// false when nothing is deliverable.
@@ -116,13 +117,68 @@ func validate(p Packet, nodes, packetWords int) error {
 	return nil
 }
 
-// clonePayload defensively copies the payload so callers can reuse their
-// scratch buffers after Inject returns.
-func clonePayload(data []Word) []Word {
+// fifo is a head-indexed packet queue that reuses its storage: it resets
+// when it empties and compacts when the head passes half of the buffer, so
+// it holds O(max backlog) packets however many pass through it.
+type fifo struct {
+	buf  []Packet
+	head int
+}
+
+func (q *fifo) len() int { return len(q.buf) - q.head }
+
+func (q *fifo) push(p Packet) { q.buf = append(q.buf, p) }
+
+// pop removes the packet at the head, zeroing its slot so the queue keeps
+// no reference to the delivered payload.
+func (q *fifo) pop() (Packet, bool) {
+	if q.head == len(q.buf) {
+		return Packet{}, false
+	}
+	p := q.buf[q.head]
+	q.buf[q.head] = Packet{}
+	q.head++
+	switch {
+	case q.head == len(q.buf):
+		q.buf, q.head = q.buf[:0], 0
+	case q.head > len(q.buf)/2:
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	return p, true
+}
+
+// Payload slabs start at minSlabWords and double up to maxSlabWords, so a
+// network that carries a few packets allocates little and a busy one
+// allocates once per maxSlabWords payload words.
+const (
+	minSlabWords = 16
+	maxSlabWords = 256
+)
+
+// payloadSlab hands out payload copies carved from word slabs instead of
+// allocating one per packet. Slab words are never reused: a delivered
+// packet's Data belongs to the receiver, which may keep or modify it.
+type payloadSlab struct {
+	free []Word
+	size int // words in the current slab
+}
+
+// clone copies data so callers can reuse their scratch buffers after
+// Inject returns. The copy's capacity is clipped to its length, so an
+// append by the receiver reallocates instead of overwriting the next
+// packet's payload.
+func (s *payloadSlab) clone(data []Word) []Word {
 	if len(data) == 0 {
 		return nil
 	}
-	out := make([]Word, len(data))
+	if len(data) > len(s.free) {
+		s.size = min(max(2*s.size, minSlabWords), maxSlabWords)
+		s.free = make([]Word, max(s.size, len(data)))
+	}
+	out := s.free[:len(data):len(data)]
 	copy(out, data)
+	s.free = s.free[len(data):]
 	return out
 }

@@ -5,12 +5,12 @@ import "math/rand"
 // Reorderer decides the delivery order of packets within one
 // (source, destination) flow, modeling the arbitrary delivery order of
 // multipath networks. Implementations are driven per flow: Push accepts the
-// next injected packet and returns any packets that become deliverable (in
-// delivery order); Flush releases anything still held when the flow goes
-// idle.
+// next injected packet and appends any packets that become deliverable (in
+// delivery order) to out; Flush appends anything still held when the flow
+// goes idle. Both return the extended slice.
 type Reorderer interface {
-	Push(p Packet) []Packet
-	Flush() []Packet
+	Push(out []Packet, p Packet) []Packet
+	Flush(out []Packet) []Packet
 }
 
 // ReorderPolicy constructs a fresh Reorderer for each flow.
@@ -23,8 +23,8 @@ func InOrder() ReorderPolicy {
 
 type inOrder struct{}
 
-func (inOrder) Push(p Packet) []Packet { return []Packet{p} }
-func (inOrder) Flush() []Packet        { return nil }
+func (inOrder) Push(out []Packet, p Packet) []Packet { return append(out, p) }
+func (inOrder) Flush(out []Packet) []Packet          { return out }
 
 // PairSwap delivers each consecutive pair of packets swapped
 // (1, 0, 3, 2, ...), so exactly half of a flow's packets arrive out of
@@ -35,29 +35,27 @@ func PairSwap() ReorderPolicy {
 }
 
 type pairSwap struct {
-	held    *Packet
+	held    Packet
 	hasHeld bool
 }
 
-func (s *pairSwap) Push(p Packet) []Packet {
+func (s *pairSwap) Push(out []Packet, p Packet) []Packet {
 	if !s.hasHeld {
-		cp := p
-		s.held = &cp
-		s.hasHeld = true
-		return nil
+		s.held, s.hasHeld = p, true
+		return out
 	}
-	first := *s.held
-	s.held, s.hasHeld = nil, false
-	return []Packet{p, first}
+	out = append(out, p, s.held)
+	s.held, s.hasHeld = Packet{}, false
+	return out
 }
 
-func (s *pairSwap) Flush() []Packet {
+func (s *pairSwap) Flush(out []Packet) []Packet {
 	if !s.hasHeld {
-		return nil
+		return out
 	}
-	p := *s.held
-	s.held, s.hasHeld = nil, false
-	return []Packet{p}
+	out = append(out, s.held)
+	s.held, s.hasHeld = Packet{}, false
+	return out
 }
 
 // WindowShuffle holds up to window packets per flow and releases them in a
@@ -69,29 +67,41 @@ func WindowShuffle(window int, seed int64) ReorderPolicy {
 		window = 1
 	}
 	return func() Reorderer {
-		return &windowShuffle{window: window, rng: rand.New(rand.NewSource(seed))}
+		return &windowShuffle{window: window, seed: seed}
 	}
 }
 
 type windowShuffle struct {
 	window int
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // seeded on the first release of two or more packets
 	held   []Packet
 }
 
-func (s *windowShuffle) Push(p Packet) []Packet {
+func (s *windowShuffle) Push(out []Packet, p Packet) []Packet {
 	s.held = append(s.held, p)
 	if len(s.held) < s.window {
-		return nil
+		return out
 	}
-	return s.release()
+	return s.release(out)
 }
 
-func (s *windowShuffle) Flush() []Packet { return s.release() }
+func (s *windowShuffle) Flush(out []Packet) []Packet { return s.release(out) }
 
-func (s *windowShuffle) release() []Packet {
-	out := s.held
-	s.held = nil
-	s.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+// release shuffles the held packets onto out. Shuffle draws nothing for
+// fewer than two packets, so the generator is only needed from the first
+// release of two or more; seeding it then yields the same order as seeding
+// it up front.
+func (s *windowShuffle) release(out []Packet) []Packet {
+	if len(s.held) > 1 {
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(s.seed))
+		}
+		held := s.held
+		s.rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+	}
+	out = append(out, s.held...)
+	clear(s.held)
+	s.held = s.held[:0]
 	return out
 }

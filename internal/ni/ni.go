@@ -87,7 +87,7 @@ func (n *NI) StageDest(dst int, tag network.Tag) {
 	n.sendDst = dst
 	n.sendTag = tag
 	n.sendHead = 0
-	n.sendData = nil
+	n.sendData = n.sendData[:0]
 	n.sendStaged = true
 	n.sendMsg, n.sendSpan, n.sendPkt = 0, 0, 0
 }
@@ -115,7 +115,9 @@ func (n *NI) StageData(words ...network.Word) {
 
 // Push commits the staged packet to the network and clears the staging
 // registers on success. Backpressure and rejection leave the staged packet
-// intact so the caller can retry the push after re-checking status.
+// intact so the caller can retry the push after re-checking status. Every
+// Network's Inject copies the payload, so the staging buffer is reused for
+// the next packet.
 func (n *NI) Push() error {
 	if !n.sendStaged {
 		return ErrNothingStaged
@@ -136,7 +138,7 @@ func (n *NI) Push() error {
 	n.sendDst = -1
 	n.sendTag = 0
 	n.sendHead = 0
-	n.sendData = nil
+	n.sendData = n.sendData[:0]
 	n.sendStaged = false
 	n.sendMsg, n.sendSpan, n.sendPkt = 0, 0, 0
 	return nil

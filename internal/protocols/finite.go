@@ -84,6 +84,7 @@ type FiniteTransfer struct {
 	idle      int // pumps without progress, for the retransmission timeout
 	lastState int
 	lastSent  int
+	resend    int // where a backpressured retransmission resumes; 0 when none is pending
 }
 
 // Transfer-size limits imposed by the 16-bit offset field of the xfer head
@@ -183,6 +184,9 @@ func (t *FiniteTransfer) checkTimeout() error {
 	if t.f.RetransmitAfter <= 0 || t.state == finiteDone {
 		return nil
 	}
+	if t.resend > 0 {
+		return t.retransmit()
+	}
 	if t.state != t.lastState || t.sent != t.lastSent {
 		t.lastState, t.lastSent = t.state, t.sent
 		t.idle = 0
@@ -206,34 +210,45 @@ func (t *FiniteTransfer) checkTimeout() error {
 		}
 		node.Event("finite.retry.alloc")
 	case finiteWaitAck:
-		// Data packets or the acknowledgement were lost: resend the
-		// retained copy. Carried offsets make duplicates idempotent, and
-		// a receiver that already completed re-acknowledges when probed.
-		n := t.f.sched().PacketWords
-		for off := 0; off < len(t.data); off += n {
-			end := off + n
-			if end > len(t.data) {
-				end = len(t.data)
-			}
-			node.Charge(cost.FaultTol, t.f.sched().Retransmit)
-			err := t.f.ep.SendXfer(t.dst, t.seg, off, t.data[off:end], cost.FaultTol, nil)
-			if errors.Is(err, network.ErrBackpressure) {
-				node.Charge(cost.Base, retryProbe)
-				return nil
-			}
-			if err != nil {
-				return err
-			}
+		return t.retransmit()
+	}
+	return nil
+}
+
+// retransmit resends the retained copy from offset t.resend, then probes:
+// data packets or the acknowledgement were lost. Carried offsets make
+// duplicates idempotent, and a receiver that already completed
+// re-acknowledges when probed. A backpressured resend or probe leaves
+// t.resend where it stopped and resumes there on the next pump, so bounded
+// buffering cannot cut off the packets past the bound or the probe.
+func (t *FiniteTransfer) retransmit() error {
+	node := t.f.ep.Node()
+	n := t.f.sched().PacketWords
+	for t.resend < len(t.data) {
+		end := min(t.resend+n, len(t.data))
+		node.Charge(cost.FaultTol, t.f.sched().Retransmit)
+		err := t.f.ep.SendXfer(t.dst, t.seg, t.resend, t.data[t.resend:end], cost.FaultTol, nil)
+		if errors.Is(err, network.ErrBackpressure) {
+			node.Charge(cost.Base, retryProbe)
+			return nil
 		}
-		// Probe with the (deduplicated) allocation request so a receiver
-		// that already completed re-acknowledges a lost ack.
-		err := t.f.ep.SendAM(t.dst, HFiniteAllocReq, cost.FaultTol, nil,
-			network.Word(t.id), network.Word(len(t.data)))
-		if err != nil && !errors.Is(err, network.ErrBackpressure) {
+		if err != nil {
 			return err
 		}
-		node.Event("finite.retry.data")
+		t.resend = end
 	}
+	// Probe with the (deduplicated) allocation request so a receiver
+	// that already completed re-acknowledges a lost ack.
+	err := t.f.ep.SendAM(t.dst, HFiniteAllocReq, cost.FaultTol, nil,
+		network.Word(t.id), network.Word(len(t.data)))
+	if errors.Is(err, network.ErrBackpressure) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	t.resend = 0
+	node.Event("finite.retry.data")
 	return nil
 }
 

@@ -290,3 +290,56 @@ func TestFiniteEventCounts(t *testing.T) {
 		t.Errorf("acks received = %d, want 1", got)
 	}
 }
+
+// Faulty finite transfers longer than the substrate's buffering bound
+// complete byte-exact: a retransmission cut off by backpressure resumes
+// where it stopped, so the packets past the bound and the closing probe
+// are sent too. The fault, reorder, and timeout settings are
+// TestTortureMixedTraffic's, with its 64-packet bound; every transfer is
+// more than 64 packets long.
+func TestFiniteRetransmitUnderBoundedBuffering(t *testing.T) {
+	var retries, backpressured uint64
+	for _, words := range []int{300, 512, 1024} {
+		for seed := int64(1); seed <= 8; seed++ {
+			net := network.MustCM5Net(network.CM5Config{
+				Nodes:    2,
+				Reorder:  network.WindowShuffle(5, seed),
+				Faults:   network.NewSeededRate(0.02, seed+1),
+				Capacity: 64,
+			})
+			m := twoNode(t, net)
+			srcSvc := NewFinite(cmam.NewEndpoint(m.Node(0)))
+			dstSvc := NewFinite(cmam.NewEndpoint(m.Node(1)))
+			srcSvc.RetransmitAfter, dstSvc.RetransmitAfter = 128, 128
+			var got []network.Word
+			dstSvc.OnReceive = func(_ int, buf []network.Word) { got = buf }
+
+			data := pattern(words)
+			tr, err := srcSvc.Start(1, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = machine.Run(1_000_000,
+				machine.StepFunc(func() (bool, error) { return tr.Done(), srcSvc.Pump() }),
+				machine.StepFunc(func() (bool, error) { return tr.Done(), dstSvc.Pump() }),
+			)
+			if err != nil {
+				t.Fatalf("%d words, seed %d: %v", words, seed, err)
+			}
+			if len(got) != len(data) {
+				t.Fatalf("%d words, seed %d: received %d words", words, seed, len(got))
+			}
+			for i := range data {
+				if got[i] != data[i] {
+					t.Fatalf("%d words, seed %d: word %d corrupted", words, seed, i)
+				}
+			}
+			retries += m.Node(0).Gauge.Events("finite.retry.data")
+			backpressured += net.Stats().Backpressure
+		}
+	}
+	if retries == 0 || backpressured == 0 {
+		t.Errorf("no backpressured retransmission exercised: %d retries, %d backpressured injections",
+			retries, backpressured)
+	}
+}

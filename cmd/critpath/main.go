@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cycles := fs.Int("cycles", 400, "cycles per flit-grid point")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the flit grid (0 = GOMAXPROCS, 1 = serial)")
 	shardsFlag := fs.Int("shards", 0,
-		"engine shards per flit-grid point (0 = auto: GOMAXPROCS split across the -parallel workers, which take precedence; 1 = serial engine; report is byte-identical at any value)")
+		"engine shards per flit-grid point (0 = auto, which selects 1, the serial engine; larger values are held to GOMAXPROCS split across the -parallel workers, which take precedence; report is byte-identical at any value)")
 	dense := fs.Bool("dense", false, "use the dense reference flit engine (report is byte-identical)")
 	timelineOut := fs.String("timeline-out", "",
 		"run the selected protocol scenarios into one shared hub, sampling windowed metric deltas on the round clock, and write the timeline (\"-\" = stdout; a .csv suffix selects CSV, otherwise JSON)")

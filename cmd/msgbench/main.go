@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0,
 		"worker goroutines for the full experiment run (0 = GOMAXPROCS, 1 = serial; forced serial when an observer is attached)")
 	shardsFlag := fs.Int("shards", 0,
-		"engine shards for the flit-level experiments (0 = auto: GOMAXPROCS split across the -parallel workers, which take precedence; 1 = serial engine; results are byte-identical at any value)")
+		"engine shards for the flit-level experiments (0 = auto, which selects 1, the serial engine; larger values are held to GOMAXPROCS split across the -parallel workers, which take precedence; results are byte-identical at any value)")
 	quiet := fs.Bool("quiet", false, "print only the comparison summary")
 	asJSON := fs.Bool("json", false, "print a machine-readable JSON summary instead of text")
 	metrics := fs.String("metrics", "", "dump runtime metrics to a file after the runs (\"-\" = stdout)")

@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		"traffic pattern: uniform, hotspot[:node:permille], transpose, bitcomplement, neighbor")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the sweep (0 = GOMAXPROCS, 1 = serial)")
 	shardsFlag := fs.Int("shards", 0,
-		"engine shards per simulation point (0 = auto: GOMAXPROCS split across the -parallel workers, which take precedence; 1 = serial engine; results are byte-identical at any value)")
+		"engine shards per simulation point (0 = auto, which selects 1, the serial engine; larger values are held to GOMAXPROCS split across the -parallel workers, which take precedence; results are byte-identical at any value)")
 	metricsOut := fs.String("metrics", "", "dump flit-level metrics to a file (\"-\" = stdout)")
 	traceOut := fs.String("trace-out", "", "dump a Chrome trace-event JSON, one span per measure point (\"-\" = stdout)")
 	serveAddr := fs.String("serve", "",

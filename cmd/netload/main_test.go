@@ -119,7 +119,8 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 		{"-shards", "2", "-parallel", "1"},
 		{"-shards", "3", "-parallel", "1"},
 		{"-shards", "2", "-parallel", "4"},
-		// No -shards: the unset flag auto-sizes (explicit 0 is now an error).
+		// No -shards: the unset flag is auto, which selects the serial engine
+		// (explicit 0 is an error).
 		{"-parallel", "2"},
 	} {
 		got := [5]string{}

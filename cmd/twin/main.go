@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	speedupFloor := fs.Float64("speedup-floor", 0, "with -speedup, fail unless the measured factor reaches this floor")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the simulation sweep (0 = GOMAXPROCS, 1 = serial)")
 	shardsFlag := fs.Int("shards", 0,
-		"engine shards per simulation point (0 = auto; results are byte-identical at any value)")
+		"engine shards per simulation point (0 = auto, which selects 1, the serial engine; results are byte-identical at any value)")
 	dense := fs.Bool("dense", false,
 		"simulate with the dense reference engine instead of the event-driven scheduler; results are byte-identical, only speed differs")
 	fs.Usage = func() {

@@ -375,11 +375,11 @@ func (n *Net) advanceLane(r, port, vc int) {
 	}
 
 	var out lane
-	if claimed, ok := rt.route[w.id]; ok {
+	if buf.claimW == w {
 		// The worm already holds an output lane here — either the head
 		// claimed it on an earlier cycle but the link was busy, or this
 		// is a body/tail flit following the head.
-		out = claimed
+		out = buf.claim
 	} else if fl.kind == flitHead {
 		claimed, ok := n.routeHead(r, port, vc, w)
 		if !ok {
@@ -395,8 +395,8 @@ func (n *Net) advanceLane(r, port, vc int) {
 		return // the physical link already carried a flit this cycle
 	}
 
-	peer, peerPort, node := n.cfg.Topology.Neighbor(r, out.port)
-	if node != topology.Terminal {
+	h := rt.link[out.port]
+	if h.node != topology.Terminal {
 		// Delivery: consume the flit; the tail completes the packet.
 		n.popFlit(buf, vc)
 		rt.outUsed[out.port] = n.cycle
@@ -405,12 +405,12 @@ func (n *Net) advanceLane(r, port, vc int) {
 			n.linkObs[r][out.port].Inc()
 		}
 		if fl.kind == flitTail {
-			n.finishWorm(r, out, w, node)
+			n.finishWorm(rt, buf, w, int(h.node))
 		}
 		return
 	}
 	// Router-to-router hop: needs space downstream on the claimed lane.
-	if n.routers[peer].inputs[peerPort][out.vc].full() {
+	if n.routers[h.peer].inputs[h.peerPort][out.vc].full() {
 		if fl.kind == flitHead {
 			n.noteBlocked(w)
 		}
@@ -418,7 +418,7 @@ func (n *Net) advanceLane(r, port, vc int) {
 	}
 	n.popFlit(buf, vc)
 	fl.arrived = n.cycle
-	n.pushFlit(peer, peerPort, out.vc, fl)
+	n.pushFlit(int(h.peer), int(h.peerPort), out.vc, fl)
 	rt.outUsed[out.port] = n.cycle
 	n.stats.FlitMoves++
 	if n.linkObs != nil {
@@ -426,11 +426,8 @@ func (n *Net) advanceLane(r, port, vc int) {
 	}
 	w.blocked = 0
 	if fl.kind == flitTail {
-		// The tail releases this router's claim on the output lane.
-		if rt.owner[out.port][out.vc] == w {
-			rt.owner[out.port][out.vc] = nil
-		}
-		delete(rt.route, w.id)
+		// The tail releases this lane's claim on the output lane.
+		rt.release(buf)
 		w.popClaim()
 	}
 }
@@ -452,8 +449,8 @@ func (n *Net) routeHead(r, port, vc int, w *worm) (lane, bool) {
 	}
 	vcs := n.cfg.VirtualChannels
 	for ci, cand := range cands {
-		peer, peerPort, node := n.cfg.Topology.Neighbor(r, cand)
-		if node != topology.Terminal {
+		h := rt.link[cand]
+		if node := int(h.node); node != topology.Terminal {
 			// Arrival at the destination node: the acceptance check
 			// runs as the header begins to arrive. The NI ejects one
 			// flit per cycle but reassembles per virtual channel, so
@@ -480,10 +477,8 @@ func (n *Net) routeHead(r, port, vc int, w *worm) (lane, bool) {
 				n.kill(w, "rejected")
 				return lane{}, false
 			}
-			rt.owner[out.port][out.vc] = w
-			rt.route[w.id] = out
+			n.claim(rt, r, port, vc, out, w)
 			n.popFlit(&rt.inputs[port][vc], vc) // consume the head
-			w.pushClaim(r)
 			rt.outUsed[cand] = n.cycle
 			n.stats.FlitMoves++
 			if n.linkObs != nil {
@@ -502,18 +497,25 @@ func (n *Net) routeHead(r, port, vc int, w *worm) (lane, bool) {
 			if rt.owner[cand][outVC] != nil {
 				continue
 			}
-			if n.routers[peer].inputs[peerPort][outVC].full() {
+			if n.routers[h.peer].inputs[h.peerPort][outVC].full() {
 				continue
 			}
 			out := lane{cand, outVC}
-			rt.owner[out.port][out.vc] = w
-			rt.route[w.id] = out
-			w.pushClaim(r)
+			n.claim(rt, r, port, vc, out, w)
 			return out, true
 		}
 	}
 	n.noteBlocked(w)
 	return lane{}, false
+}
+
+// claim gives w, whose head is at the front of input lane (r, port, vc),
+// output lane out of router r, recording the claim on the input lane.
+func (n *Net) claim(rt *router, r, port, vc int, out lane, w *worm) {
+	rt.owner[out.port][out.vc] = w
+	buf := &rt.inputs[port][vc]
+	buf.claimW, buf.claim = w, out
+	w.pushClaim(n.laneID(r, port, vc))
 }
 
 // noteBlocked ages a blocked head and applies the CR kill timeout. The
@@ -530,12 +532,8 @@ func (n *Net) noteBlocked(w *worm) {
 // finishWorm completes delivery: the tail has been accepted, which in CR is
 // the end-to-end acknowledgement. The worm struct returns to the pool; its
 // payload buffer now belongs to the receiver.
-func (n *Net) finishWorm(r int, out lane, w *worm, node int) {
-	rt := &n.routers[r]
-	if rt.owner[out.port][out.vc] == w {
-		rt.owner[out.port][out.vc] = nil
-	}
-	delete(rt.route, w.id)
+func (n *Net) finishWorm(rt *router, buf *laneFIFO, w *worm, node int) {
+	rt.release(buf)
 	w.popClaim()
 	w.state = wormDelivered
 	n.inflight--
@@ -558,8 +556,7 @@ func (n *Net) finishWorm(r int, out lane, w *worm, node int) {
 	n.recvq[node].push(w.packet)
 	n.recvqTotal++
 	n.queued[w.packet.Src]--
-	key := flowKey{w.packet.Src, w.packet.Dst}
-	if f := n.flows[key]; f != nil && f.active == w {
+	if f := w.flow; f.active == w {
 		f.active = nil
 		// A CR flow held its next worm back for this acceptance; let
 		// the inject phase look at it again.
@@ -571,7 +568,7 @@ func (n *Net) finishWorm(r int, out lane, w *worm, node int) {
 // kill tears down a worm's path everywhere — the CR path-release mechanism
 // (in non-CR modes it only fires on misroutes, which are topology bugs).
 // The sweep visits only the active lanes (a flit can only sit in an
-// occupied lane) and the routers the worm actually claimed, so a kill
+// occupied lane) and the lanes the worm actually claimed, so a kill
 // costs O(flits in flight + path length) rather than a full-topology scan.
 // The worm retries after a backoff, re-entering its flow queue at the front
 // so transmission order is preserved; retry exhaustion fails the injection
@@ -608,21 +605,17 @@ func (n *Net) kill(w *worm, reason string) {
 		}
 	}
 	// Release the output lanes the worm still claims, in path order.
-	for _, cr := range w.claims[w.claimHead:] {
-		rt := &n.routers[cr]
-		if out, ok := rt.route[w.id]; ok {
-			if rt.owner[out.port][out.vc] == w {
-				rt.owner[out.port][out.vc] = nil
-			}
-			delete(rt.route, w.id)
+	for _, id := range w.claims[w.claimHead:] {
+		rt := &n.routers[n.laneRouter[id]]
+		if buf := &rt.inputs[n.lanePort[id]][int(id)%n.cfg.VirtualChannels]; buf.claimW == w {
+			rt.release(buf)
 		}
 	}
 	w.claims = w.claims[:0]
 	w.claimHead = 0
 
-	key := flowKey{w.packet.Src, w.packet.Dst}
-	f := n.flows[key]
-	if f != nil && f.active == w {
+	f := w.flow
+	if f.active == w {
 		f.active = nil
 	}
 	if n.injecting[w.packet.Src] == w {
@@ -639,9 +632,7 @@ func (n *Net) kill(w *worm, reason string) {
 		}
 		n.putWords(w.packet.Data)
 		n.putWorm(w)
-		if f != nil {
-			n.ready.add(f.idx) // the flow's next worm may start now
-		}
+		n.ready.add(f.idx) // the flow's next worm may start now
 		return
 	}
 	w.retries++
@@ -661,13 +652,11 @@ func (n *Net) kill(w *worm, reason string) {
 	backoff := uint64(n.cfg.RetryBackoff) << shift
 	jitter := w.id % uint64(n.cfg.RetryBackoff+1)
 	w.wakeAt = n.cycle + backoff + jitter
-	if f != nil {
-		f.pushFront(w)
-		n.queuedWorms++
-		// The inject phase will find the front worm sleeping and park
-		// the flow in the wake heap until wakeAt.
-		n.ready.add(f.idx)
-	}
+	f.pushFront(w)
+	n.queuedWorms++
+	// The inject phase will find the front worm sleeping and park the
+	// flow in the wake heap until wakeAt.
+	n.ready.add(f.idx)
 }
 
 // killEventName maps a kill reason to its event-name constant (constants,

@@ -145,6 +145,7 @@ const (
 type worm struct {
 	id       uint64
 	packet   network.Packet
+	flow     *flow // the (src, dst) flow the worm was injected on
 	state    wormState
 	flits    int // total flits including head, pads, tail
 	sent     int // flits pushed into the network so far
@@ -160,20 +161,20 @@ type worm struct {
 	waitFrom    uint64
 	startedAt   uint64
 	stallCycles uint64
-	// claims lists the routers where this worm currently holds an output
-	// lane, in path order; claimHead indexes the first still-held claim.
-	// The head appends as it claims, the tail releases front-first, and a
-	// kill releases the remainder — so tearing down a worm's path costs
-	// O(path length) instead of a scan over every router.
+	// claims lists the input lanes (by lane id) whose claim this worm
+	// currently holds, in path order; claimHead indexes the first
+	// still-held claim. The head appends as it claims, the tail releases
+	// front-first, and a kill releases the remainder — so tearing down a
+	// worm's path costs O(path length) instead of a scan over every lane.
 	claims    []int32
 	claimHead int
 }
 
-// pushClaim records that the worm holds an output lane at router r.
-func (w *worm) pushClaim(r int) { w.claims = append(w.claims, int32(r)) }
+// pushClaim records that the worm holds the claim of input lane id.
+func (w *worm) pushClaim(id int32) { w.claims = append(w.claims, id) }
 
 // popClaim releases the worm's oldest claim (the tail has left that
-// router); the list rewinds once empty so it never grows past path length.
+// lane); the list rewinds once empty so it never grows past path length.
 func (w *worm) popClaim() {
 	w.claimHead++
 	if w.claimHead == len(w.claims) {
@@ -192,10 +193,18 @@ type lane struct {
 // push and pop never allocate, unlike the slide-and-append slices they
 // replaced (whose backing arrays crawled forward one flit at a time,
 // reallocating every few cycles under load).
+//
+// claimW and claim are the lane's wormhole claim: claimW's head, passing
+// through this lane, won output lane claim of the same router, and the
+// worm's later flits follow it there. Only the front flit reads the claim,
+// and the next worm's head reaches the front only after claimW's tail has
+// left — releasing the claim as it goes — so one slot per lane suffices.
 type laneFIFO struct {
-	buf  []flit
-	head int
-	n    int
+	buf    []flit
+	head   int
+	n      int
+	claimW *worm
+	claim  lane
 }
 
 func (q *laneFIFO) len() int   { return q.n }
@@ -237,13 +246,31 @@ func (q *laneFIFO) filterWorm(w *worm) int {
 }
 
 type router struct {
-	inputs [][]laneFIFO    // [port][vc] input buffer
-	owner  [][]*worm       // [port][vc] output lane -> owning worm
-	route  map[uint64]lane // worm id -> claimed output lane here
+	inputs [][]laneFIFO // [port][vc] input buffer
+	owner  [][]*worm    // [port][vc] output lane -> owning worm
+	// link[port] is the far end of each port, tabulated from
+	// Topology.Neighbor once at construction.
+	link []hop
 	// outUsed[port] stamped with the current cycle means the physical
 	// link already carried a flit this cycle — the per-cycle map the
 	// route phase used to allocate, as a reusable scratch slice.
 	outUsed []uint64
+}
+
+// hop is one entry of the neighbor table, in Topology.Neighbor's form:
+// (peer, peerPort, Terminal) for a router link, (Terminal, 0, node) for a
+// node attachment.
+type hop struct {
+	peer, peerPort, node int32
+}
+
+// release drops the claim input lane buf holds, freeing the output lane
+// it names.
+func (rt *router) release(buf *laneFIFO) {
+	if out := buf.claim; rt.owner[out.port][out.vc] == buf.claimW {
+		rt.owner[out.port][out.vc] = nil
+	}
+	buf.claimW = nil
 }
 
 type flowKey struct {
@@ -255,6 +282,9 @@ type flow struct {
 	head   int
 	active *worm // the worm currently entering the network (CR: at most one in flight)
 	idx    int32 // position in Net.order — the ready worklist's sort key
+	// padTo (CR only) is the flow's minimum worm length: head, one flit
+	// per router on the deterministic path, and tail.
+	padTo int
 }
 
 func (f *flow) pending() int { return len(f.queue) - f.head }
@@ -309,29 +339,66 @@ func (s Stats) MeanLatency() float64 {
 	return float64(s.LatencySum) / float64(s.LatencyCount)
 }
 
-// pktQueue is a per-node delivery queue that recycles its backing array:
-// popping advances a head index instead of re-slicing, and a drained queue
-// rewinds to reuse its capacity, so steady-state delivery allocates
-// nothing.
-type pktQueue struct {
-	buf  []network.Packet
-	head int
+// pktChunkLen is how many packets one delivery-queue chunk holds.
+const pktChunkLen = 64
+
+// pktChunk is one fixed-size block of a delivery queue.
+type pktChunk struct {
+	pkts [pktChunkLen]network.Packet
+	next *pktChunk
 }
 
-func (q *pktQueue) len() int { return len(q.buf) - q.head }
+// pktQueue is a per-node delivery queue grown in fixed-size chunks. A
+// backlog that builds up before anyone reads it (a run that drains its
+// receive queues only at the end) never gets copied, as it would be in a
+// slice that doubles; chunks that pop empties go to a free list, so
+// steady-state delivery allocates nothing.
+type pktQueue struct {
+	head, tail *pktChunk
+	hi, ti     int // next pop index in head, next push index in tail
+	n          int
+	free       *pktChunk
+}
 
-func (q *pktQueue) push(p network.Packet) { q.buf = append(q.buf, p) }
+func (q *pktQueue) len() int { return q.n }
+
+func (q *pktQueue) push(p network.Packet) {
+	if q.tail == nil || q.ti == pktChunkLen {
+		c := q.free
+		if c != nil {
+			q.free = c.next
+			c.next = nil
+		} else {
+			c = new(pktChunk)
+		}
+		if q.tail == nil {
+			q.head, q.hi = c, 0
+		} else {
+			q.tail.next = c
+		}
+		q.tail, q.ti = c, 0
+	}
+	q.tail.pkts[q.ti] = p
+	q.ti++
+	q.n++
+}
 
 func (q *pktQueue) pop() (network.Packet, bool) {
-	if q.head == len(q.buf) {
+	if q.n == 0 {
 		return network.Packet{}, false
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = network.Packet{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
+	c := q.head
+	p := c.pkts[q.hi]
+	c.pkts[q.hi] = network.Packet{}
+	q.hi++
+	q.n--
+	switch {
+	case q.n == 0:
+		// Drained: rewind within the last chunk to reuse it.
+		q.hi, q.ti = 0, 0
+	case q.hi == pktChunkLen:
+		q.head, q.hi = c.next, 0
+		c.next, q.free = q.free, c
 	}
 	return p, true
 }
@@ -479,8 +546,18 @@ func New(cfg Config) (*Net, error) {
 		injecting: make([]*worm, nodes),
 		injMark:   make([]uint64, nodes),
 	}
+	totalPorts := 0
+	for r := range n.routers {
+		totalPorts += cfg.Topology.Ports(r)
+	}
+	links := make([]hop, 0, totalPorts)
 	for r := range n.routers {
 		ports := cfg.Topology.Ports(r)
+		first := len(links)
+		for p := 0; p < ports; p++ {
+			peer, peerPort, node := cfg.Topology.Neighbor(r, p)
+			links = append(links, hop{int32(peer), int32(peerPort), int32(node)})
+		}
 		inputs := make([][]laneFIFO, ports)
 		owner := make([][]*worm, ports)
 		for p := range inputs {
@@ -493,7 +570,7 @@ func New(cfg Config) (*Net, error) {
 		n.routers[r] = router{
 			inputs:  inputs,
 			owner:   owner,
-			route:   make(map[uint64]lane),
+			link:    links[first:len(links):len(links)],
 			outUsed: make([]uint64, ports),
 		}
 	}
@@ -617,17 +694,19 @@ func (n *Net) Inject(p network.Packet) error {
 	copy(data, p.Data)
 	p.Data = data
 
-	w := n.getWorm()
-	*w = worm{id: n.nextID, packet: p, state: wormQueued, injected: n.cycle, waitFrom: n.cycle, claims: w.claims[:0]}
-	n.nextID++
-	w.flits = n.wormFlits(p)
 	key := flowKey{p.Src, p.Dst}
 	f := n.flows[key]
 	if f == nil {
-		f = &flow{idx: int32(len(n.order))}
-		n.flows[key] = f
-		n.order = append(n.order, key)
-		n.flowSeq = append(n.flowSeq, f)
+		f = n.newFlow(key)
+	}
+	w := n.getWorm()
+	*w = worm{id: n.nextID, packet: p, flow: f, state: wormQueued, injected: n.cycle, waitFrom: n.cycle, claims: w.claims[:0]}
+	n.nextID++
+	// Head + payload + tail, padded in CR mode to the flow's path length.
+	w.flits = 2 + len(p.Data)
+	if w.flits < f.padTo {
+		n.stats.PadFlits += uint64(f.padTo - w.flits)
+		w.flits = f.padTo
 	}
 	f.pushBack(w)
 	n.queuedWorms++
@@ -724,20 +803,21 @@ func (n *Net) noteCycle() {
 // observing reports whether noteCycle has any work to do.
 func (n *Net) observing() bool { return n.gauges != nil || n.onCycle != nil }
 
-// wormFlits computes a worm's length: head + payload + tail, padded in CR
-// mode to the deterministic path length so the worm spans source to
-// destination (the tail's acceptance is then an end-to-end acknowledgement).
-func (n *Net) wormFlits(p network.Packet) int {
-	flits := 2 + len(p.Data)
+// newFlow registers the flow for key. In CR mode it fixes the flow's
+// padded worm length once: short worms are padded to span the
+// deterministic path from source to destination, so the tail's acceptance
+// is an end-to-end acknowledgement.
+func (n *Net) newFlow(key flowKey) *flow {
+	f := &flow{idx: int32(len(n.order))}
 	if n.cfg.Mode == CR {
-		if path := topology.DeterministicPath(n.cfg.Topology, p.Src, p.Dst); path != nil {
-			if need := len(path) + 2; need > flits {
-				n.stats.PadFlits += uint64(need - flits)
-				flits = need
-			}
+		if path := topology.DeterministicPath(n.cfg.Topology, key.src, key.dst); path != nil {
+			f.padTo = len(path) + 2
 		}
 	}
-	return flits
+	n.flows[key] = f
+	n.order = append(n.order, key)
+	n.flowSeq = append(n.flowSeq, f)
+	return f
 }
 
 // TryRecv implements network.Network.

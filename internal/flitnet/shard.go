@@ -799,8 +799,8 @@ func (s *shardState) advanceLane(r, port, vc int, id int32, rank int64) bool {
 	}
 
 	var out lane
-	if claimed, ok := rt.route[w.id]; ok {
-		out = claimed
+	if buf.claimW == w {
+		out = buf.claim
 	} else if fl.kind == flitHead {
 		claimed, ok, parked := s.routeHead(r, port, vc, id, w, rank)
 		if parked {
@@ -818,8 +818,8 @@ func (s *shardState) advanceLane(r, port, vc int, id int32, rank int64) bool {
 		return true
 	}
 
-	peer, peerPort, node := n.cfg.Topology.Neighbor(r, out.port)
-	if node != topology.Terminal {
+	h := rt.link[out.port]
+	if h.node != topology.Terminal {
 		s.popFront(buf, vc, id)
 		rt.outUsed[out.port] = n.cycle
 		s.flitMoves++
@@ -827,10 +827,11 @@ func (s *shardState) advanceLane(r, port, vc int, id int32, rank int64) bool {
 			n.linkObs[r][out.port].Inc()
 		}
 		if fl.kind == flitTail {
-			s.finishWorm(r, out, w, node)
+			s.finishWorm(rt, buf, w, int(h.node))
 		}
 		return true
 	}
+	peer, peerPort := int(h.peer), int(h.peerPort)
 	tgt := n.laneID(peer, peerPort, out.vc)
 	full, ok := s.laneFull(tgt, rank)
 	if !ok {
@@ -851,10 +852,7 @@ func (s *shardState) advanceLane(r, port, vc int, id int32, rank int64) bool {
 		n.linkObs[r][out.port].Inc()
 	}
 	if fl.kind == flitTail {
-		if rt.owner[out.port][out.vc] == w {
-			rt.owner[out.port][out.vc] = nil
-		}
-		delete(rt.route, w.id)
+		rt.release(buf)
 	}
 	return true
 }
@@ -876,9 +874,10 @@ func (s *shardState) routeHead(r, port, vc int, id int32, w *worm, rank int64) (
 		cands = cands[:1]
 	}
 	vcs := n.cfg.VirtualChannels
+	buf := &rt.inputs[port][vc]
 	for ci, cand := range cands {
-		peer, peerPort, node := n.cfg.Topology.Neighbor(r, cand)
-		if node != topology.Terminal {
+		h := rt.link[cand]
+		if node := int(h.node); node != topology.Terminal {
 			if rt.outUsed[cand] == n.cycle {
 				continue
 			}
@@ -896,8 +895,8 @@ func (s *shardState) routeHead(r, port, vc int, id int32, w *worm, rank int64) (
 				panic("flitnet: misrouted worm in a sharded run")
 			}
 			rt.owner[ej.port][ej.vc] = w
-			rt.route[w.id] = ej
-			s.popFront(&rt.inputs[port][vc], vc, id)
+			buf.claimW, buf.claim = w, ej
+			s.popFront(buf, vc, id)
 			rt.outUsed[cand] = n.cycle
 			s.flitMoves++
 			if n.linkObs != nil {
@@ -912,7 +911,7 @@ func (s *shardState) routeHead(r, port, vc int, id int32, w *worm, rank int64) (
 			if rt.owner[cand][outVC] != nil {
 				continue
 			}
-			tgt := n.laneID(peer, peerPort, outVC)
+			tgt := n.laneID(int(h.peer), int(h.peerPort), outVC)
 			full, decided := s.laneFull(tgt, rank)
 			if !decided {
 				return lane{}, false, true
@@ -922,7 +921,7 @@ func (s *shardState) routeHead(r, port, vc int, id int32, w *worm, rank int64) (
 			}
 			got := lane{cand, outVC}
 			rt.owner[got.port][got.vc] = w
-			rt.route[w.id] = got
+			buf.claimW, buf.claim = w, got
 			return got, true, false
 		}
 	}
@@ -935,13 +934,9 @@ func (s *shardState) routeHead(r, port, vc int, id int32, w *worm, rank int64) (
 // source-queue decrement (the source may live anywhere) defers to the
 // epilogue, and the flow-reactivation branch vanishes — without CR a
 // flow's active slot was already cleared when injection completed.
-func (s *shardState) finishWorm(r int, out lane, w *worm, node int) {
+func (s *shardState) finishWorm(rt *router, buf *laneFIFO, w *worm, node int) {
 	n := s.n
-	rt := &n.routers[r]
-	if rt.owner[out.port][out.vc] == w {
-		rt.owner[out.port][out.vc] = nil
-	}
-	delete(rt.route, w.id)
+	rt.release(buf)
 	w.state = wormDelivered
 	s.inflightDelta--
 	latency := n.cycle - w.injected

@@ -27,17 +27,21 @@ func Workers(n int) int {
 	return n
 }
 
-// Shards resolves a -shards flag value against the sweep's worker count:
-// the two forms of parallelism multiply (each of the workers' simulations
-// runs its own shard goroutines), so their product is held to GOMAXPROCS,
-// and the grid fan-out — which parallelizes whole independent runs with no
-// barrier — takes precedence over intra-run sharding. The budget left for
-// shards is max(1, GOMAXPROCS/workers); requested values below 1 select
-// the whole budget (auto), larger requests clamp to it. Shard counts never
+// Shards resolves a -shards flag value against the sweep's worker count.
+// Requested values below 1 (auto) select 1, the serial engine: the sharded
+// engine has measured slower than serial on every host the repository has
+// timed, so auto never picks it. An explicit request is held to the budget
+// the grid fan-out leaves, max(1, GOMAXPROCS/workers): the two forms of
+// parallelism multiply (each of the workers' simulations runs its own
+// shard goroutines), and the fan-out — which parallelizes whole
+// independent runs with no barrier — takes precedence. Shard counts never
 // change results — the sharded engine is byte-identical at any count — so
 // the clamp only caps goroutines, never semantics. Callers pass the
 // normalized Workers value.
 func Shards(requested, workers int) int {
+	if requested < 1 {
+		return 1
+	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -45,7 +49,7 @@ func Shards(requested, workers int) int {
 	if budget < 1 {
 		budget = 1
 	}
-	if requested < 1 || requested > budget {
+	if requested > budget {
 		return budget
 	}
 	return requested

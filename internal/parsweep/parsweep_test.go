@@ -167,18 +167,19 @@ func TestRunZeroJobs(t *testing.T) {
 	}
 }
 
-// TestShardsBudget pins the composition policy: effective workers x shards
-// never exceeds GOMAXPROCS, grid fan-out (workers) takes precedence over
-// intra-run sharding, and auto/overbudget requests resolve to the budget.
+// TestShardsBudget pins the composition policy: auto resolves to the serial
+// engine, effective workers x shards never exceeds GOMAXPROCS, grid fan-out
+// (workers) takes precedence over intra-run sharding, and overbudget
+// requests clamp to the budget.
 func TestShardsBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	cases := []struct {
 		requested, workers, want int
 	}{
-		{0, 1, 8},   // auto with a serial sweep: the whole machine
+		{0, 1, 1},   // auto with a serial sweep: still the serial engine
 		{0, 8, 1},   // auto with a saturated sweep: serial engine per point
-		{0, 2, 4},   // auto splits the budget across workers
-		{-1, 2, 4},  // negatives are auto too
+		{0, 2, 1},   // auto never shards, whatever the budget
+		{-1, 2, 1},  // negatives are auto too
 		{3, 2, 3},   // explicit within budget is honored
 		{16, 2, 4},  // explicit beyond budget clamps to it
 		{1, 1, 1},   // explicit serial stays serial

@@ -19,6 +19,9 @@ type FatTree struct {
 	nodes   int
 	perLvl  int // routers per level = k^(n-1)
 	routers int
+	// pow[i] is k^i for i in 0..n-1, so the digit helpers divide once
+	// instead of looping over the digit position.
+	pow []int
 }
 
 // NewFatTree constructs a k-ary n-tree. Arity k must be at least 2 and the
@@ -30,15 +33,17 @@ func NewFatTree(k, n int) (*FatTree, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topology: fat tree needs >= 1 level, got %d", n)
 	}
+	pow := make([]int, n)
 	nodes := 1
 	for i := 0; i < n; i++ {
+		pow[i] = nodes
 		nodes *= k
 		if nodes > 1<<20 {
 			return nil, fmt.Errorf("topology: fat tree %d-ary %d-tree too large", k, n)
 		}
 	}
 	perLvl := nodes / k
-	return &FatTree{k: k, n: n, nodes: nodes, perLvl: perLvl, routers: n * perLvl}, nil
+	return &FatTree{k: k, n: n, nodes: nodes, perLvl: perLvl, routers: n * perLvl, pow: pow}, nil
 }
 
 // MustFatTree is NewFatTree that panics on invalid arguments.
@@ -78,22 +83,12 @@ func (t *FatTree) word(router int) int  { return router % t.perLvl }
 
 func (t *FatTree) routerID(level, word int) int { return level*t.perLvl + word }
 
-// digit returns base-k digit i of x.
-func (t *FatTree) digit(x, i int) int {
-	for ; i > 0; i-- {
-		x /= t.k
-	}
-	return x % t.k
-}
+// digit returns base-k digit i of x, for i in 0..n-1.
+func (t *FatTree) digit(x, i int) int { return x / t.pow[i] % t.k }
 
 // setDigit returns x with base-k digit i replaced by v.
 func (t *FatTree) setDigit(x, i, v int) int {
-	pow := 1
-	for j := 0; j < i; j++ {
-		pow *= t.k
-	}
-	old := (x / pow) % t.k
-	return x + (v-old)*pow
+	return x + (v-t.digit(x, i))*t.pow[i]
 }
 
 // Neighbor implements Topology.
@@ -123,15 +118,11 @@ func (t *FatTree) NodePort(nodeID int) (router, port int) {
 }
 
 // ancestor reports whether router (l, w) lies above node dst: its word
-// digits at positions l..n-2 must match the destination leaf word.
+// digits at positions l..n-2 must match the destination leaf word. Both
+// words have n-1 digits, so those digits match exactly when the words
+// agree after dropping their low l digits.
 func (t *FatTree) ancestor(l, w, dst int) bool {
-	leaf := dst / t.k
-	for i := l; i < t.n-1; i++ {
-		if t.digit(w, i) != t.digit(leaf, i) {
-			return false
-		}
-	}
-	return true
+	return w/t.pow[l] == dst/t.k/t.pow[l]
 }
 
 // Route implements Topology. If the router is an ancestor of dst the packet

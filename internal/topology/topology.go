@@ -51,10 +51,11 @@ type Topology interface {
 func DeterministicPath(t Topology, src, dst int) []int {
 	router, _ := t.NodePort(src)
 	path := []int{router}
+	var candidates []int
 	// A path can never exceed the router count on a loop-free route; the
 	// bound guards against routing-function bugs in tests.
 	for hops := 0; hops <= t.NumRouters()+1; hops++ {
-		candidates := t.Route(router, -1, dst)
+		candidates = t.RouteAppend(router, -1, dst, candidates[:0])
 		if len(candidates) == 0 {
 			return nil
 		}

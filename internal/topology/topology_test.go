@@ -353,3 +353,53 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// TestFatTreeDigitHelpers holds the tabulated digit helpers to their
+// digit-by-digit definitions on every router word and destination,
+// including ancestor's whole-word shortcut.
+func TestFatTreeDigitHelpers(t *testing.T) {
+	for _, tc := range [][2]int{{2, 1}, {2, 3}, {3, 2}, {3, 3}, {4, 1}, {4, 2}, {4, 3}} {
+		ft := MustFatTree(tc[0], tc[1])
+		k, n := tc[0], tc[1]
+		digit := func(x, i int) int {
+			for ; i > 0; i-- {
+				x /= k
+			}
+			return x % k
+		}
+		for x := 0; x < ft.Nodes(); x++ {
+			for i := 0; i < n; i++ {
+				if got := ft.digit(x, i); got != digit(x, i) {
+					t.Fatalf("%s: digit(%d,%d) = %d, want %d", ft.Name(), x, i, got, digit(x, i))
+				}
+				for v := 0; v < k; v++ {
+					got := ft.setDigit(x, i, v)
+					for j := 0; j < n; j++ {
+						want := digit(x, j)
+						if j == i {
+							want = v
+						}
+						if digit(got, j) != want {
+							t.Fatalf("%s: setDigit(%d,%d,%d) = %d", ft.Name(), x, i, v, got)
+						}
+					}
+				}
+			}
+		}
+		for l := 0; l < n; l++ {
+			for w := 0; w < ft.perLvl; w++ {
+				for dst := 0; dst < ft.Nodes(); dst++ {
+					want := true
+					for i := l; i < n-1; i++ {
+						if digit(w, i) != digit(dst/k, i) {
+							want = false
+						}
+					}
+					if got := ft.ancestor(l, w, dst); got != want {
+						t.Fatalf("%s: ancestor(%d,%d,%d) = %v, want %v", ft.Name(), l, w, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+}

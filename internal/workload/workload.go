@@ -155,6 +155,10 @@ type Generator struct {
 	nodes   int
 	gate    uint64 // injection threshold out of 2^31
 	rng     uint64
+	// draw is g.next bound once: a method value passed to Pattern.Dest
+	// escapes, so binding it per call would allocate on every arrival.
+	draw func() uint64
+	out  []Arrival // Cycle's reused result buffer
 }
 
 // NewGenerator builds a generator; load is packets per node per cycle in
@@ -169,12 +173,14 @@ func NewGenerator(p Pattern, nodes int, load float64, seed int64) (*Generator, e
 	if load <= 0 || load > 1 {
 		return nil, fmt.Errorf("workload: load %g out of (0, 1]", load)
 	}
-	return &Generator{
+	g := &Generator{
 		pattern: p,
 		nodes:   nodes,
 		gate:    uint64(load * float64(uint64(1)<<31)),
 		rng:     uint64(seed)*2654435761 + 1,
-	}, nil
+	}
+	g.draw = g.next
+	return g, nil
 }
 
 func (g *Generator) next() uint64 {
@@ -188,17 +194,20 @@ type Arrival struct {
 }
 
 // Cycle returns the packets arriving in one cycle (at most one per node).
+// The result is valid until the next call: Cycle reuses its storage, so
+// steady-state generation allocates nothing. Copy it to keep it.
 func (g *Generator) Cycle() []Arrival {
-	var out []Arrival
+	out := g.out[:0]
 	for src := 0; src < g.nodes; src++ {
 		if g.next()&0x7fffffff >= g.gate {
 			continue
 		}
-		dst, ok := g.pattern.Dest(src, g.nodes, g.next)
+		dst, ok := g.pattern.Dest(src, g.nodes, g.draw)
 		if !ok || dst == src {
 			continue
 		}
 		out = append(out, Arrival{Src: src, Dst: dst})
 	}
+	g.out = out
 	return out
 }

@@ -142,30 +142,66 @@ func TestGeneratorValidation(t *testing.T) {
 }
 
 func TestGeneratorRateAndDeterminism(t *testing.T) {
-	run := func() (int, []Arrival) {
+	// Cycle reuses its result buffer, so each cycle's arrivals are copied
+	// out (with their cycle number) before the next call overwrites them.
+	type stamped struct {
+		cycle int
+		a     Arrival
+	}
+	run := func() []stamped {
 		g, err := NewGenerator(Uniform{}, 16, 0.25, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := 0
-		var first []Arrival
+		var all []stamped
 		for c := 0; c < 2000; c++ {
-			arr := g.Cycle()
-			if c == 0 {
-				first = arr
+			for _, a := range g.Cycle() {
+				all = append(all, stamped{c, a})
 			}
-			total += len(arr)
 		}
-		return total, first
+		return all
 	}
-	totalA, firstA := run()
-	totalB, firstB := run()
-	if totalA != totalB || len(firstA) != len(firstB) {
-		t.Fatal("generator not deterministic")
+	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("generator not deterministic: %d vs %d arrivals", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("generator not deterministic: arrival %d is %+v, then %+v", i, a[i], b[i])
+		}
 	}
 	// Expected arrivals: 16 nodes * 2000 cycles * 0.25 = 8000 +- noise.
-	if totalA < 7200 || totalA > 8800 {
-		t.Errorf("arrivals = %d, want about 8000", totalA)
+	if len(a) < 7200 || len(a) > 8800 {
+		t.Errorf("arrivals = %d, want about 8000", len(a))
+	}
+}
+
+// TestGeneratorCycleAllocsNothing holds steady-state generation to zero
+// allocations for every pattern: the arrival buffer is reused and the
+// random source handed to Pattern.Dest is bound once.
+func TestGeneratorCycleAllocsNothing(t *testing.T) {
+	for _, p := range []Pattern{Uniform{}, Hotspot{Node: 3, Permille: 400}, Transpose{}, BitComplement{}, NearestNeighbor{}} {
+		g, err := NewGenerator(p, 64, 1, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Cycle() // sizes the buffer: at load 1 every node may arrive
+		if got := testing.AllocsPerRun(200, func() { g.Cycle() }); got != 0 {
+			t.Errorf("%s: Cycle makes %v allocs, want 0", p.Name(), got)
+		}
+	}
+}
+
+// BenchmarkGeneratorCycle measures one cycle of uniform arrivals on a
+// 64-node machine at a loaded rate.
+func BenchmarkGeneratorCycle(b *testing.B) {
+	g, err := NewGenerator(Uniform{}, 64, 0.3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Cycle()
 	}
 }
 

@@ -66,8 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noFlit := fs.Bool("noflit", false, "skip the flit-level transit grid")
 	cycles := fs.Int("cycles", 400, "cycles per flit-grid point")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the flit grid (0 = GOMAXPROCS, 1 = serial)")
-	shardsFlag := fs.Int("shards", 0,
-		"engine shards per flit-grid point (0 = auto, which selects 1, the serial engine; larger values are held to GOMAXPROCS split across the -parallel workers, which take precedence; report is byte-identical at any value)")
 	dense := fs.Bool("dense", false, "use the dense reference flit engine (report is byte-identical)")
 	timelineOut := fs.String("timeline-out", "",
 		"run the selected protocol scenarios into one shared hub, sampling windowed metric deltas on the round clock, and write the timeline (\"-\" = stdout; a .csv suffix selects CSV, otherwise JSON)")
@@ -79,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := parsweep.ValidatePositiveFlags(fs, "parallel", "shards"); err != nil {
+	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
 		fmt.Fprintln(stderr, "critpath:", err)
 		return 1
 	}
@@ -131,11 +129,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var points []flitPoint
 	if !*noFlit {
 		workers := parsweep.Workers(*parallel)
-		shards := parsweep.Shards(*shardsFlag, workers)
 		points = make([]flitPoint, len(flitModes)*len(flitLoads))
 		err := parsweep.Run(workers, len(points), func(i int) error {
 			mode, load := flitModes[i/len(flitLoads)], flitLoads[i%len(flitLoads)]
-			h, err := runFlitPoint(mode, load, *cycles, *dense, shards)
+			h, err := runFlitPoint(mode, load, *cycles, *dense)
 			if err != nil {
 				return err
 			}
@@ -300,7 +297,7 @@ func runTimeline(scenarios []string, words int, interval uint64) (*timeline.Time
 
 // runFlitPoint runs one (mode, load) point of the transit grid on a fat
 // tree, with a FlitScope capturing every worm's lifetime into its own hub.
-func runFlitPoint(mode flitnet.Mode, load float64, cycles int, dense bool, shards int) (*obs.Hub, error) {
+func runFlitPoint(mode flitnet.Mode, load float64, cycles int, dense bool) (*obs.Hub, error) {
 	topo, err := topology.NewFatTree(4, 2)
 	if err != nil {
 		return nil, err
@@ -309,12 +306,10 @@ func runFlitPoint(mode flitnet.Mode, load float64, cycles int, dense bool, shard
 		Topology: topo, Mode: mode,
 		BufferFlits: 3, InjectQueue: 8,
 		DenseReference: dense,
-		Shards:         shards,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer net.Close()
 	h := obs.NewHub()
 	net.SetFlitObserver(h.FlitScope())
 	nodes := net.Nodes()

@@ -13,7 +13,6 @@
 //	netload -loads 0.05,0.1,0.2        # custom offered loads (pkts/node/cycle)
 //	netload -cycles 4000 -csv
 //	netload -parallel 8                # fan the load/mode grid over 8 workers
-//	netload -shards 4                  # shard each point's engine across 4 workers
 //	netload -metrics m.txt             # dump flit-level metrics ("-" = stdout)
 //	netload -trace-out t.json          # Chrome trace with one span per point
 //	netload -timeline-out tl.json      # windowed metrics timeline per point (.csv for CSV)
@@ -75,8 +74,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	patternArg := fs.String("pattern", "uniform",
 		"traffic pattern: uniform, hotspot[:node:permille], transpose, bitcomplement, neighbor")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the sweep (0 = GOMAXPROCS, 1 = serial)")
-	shardsFlag := fs.Int("shards", 0,
-		"engine shards per simulation point (0 = auto, which selects 1, the serial engine; larger values are held to GOMAXPROCS split across the -parallel workers, which take precedence; results are byte-identical at any value)")
 	metricsOut := fs.String("metrics", "", "dump flit-level metrics to a file (\"-\" = stdout)")
 	traceOut := fs.String("trace-out", "", "dump a Chrome trace-event JSON, one span per measure point (\"-\" = stdout)")
 	serveAddr := fs.String("serve", "",
@@ -105,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := parsweep.ValidatePositiveFlags(fs, "parallel", "shards"); err != nil {
+	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
 		fmt.Fprintln(stderr, "netload:", err)
 		return 1
 	}
@@ -164,21 +161,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	// Intra-run sharding composes with the grid fan-out: the product of
-	// workers and shards stays within GOMAXPROCS, with the fan-out (which
-	// parallelizes whole points, barrier-free) taking precedence. A shard
-	// count beyond the topology's router count cannot be used — the engine
-	// would clamp it anyway — so it is clamped here, with a warning rather
-	// than an error: the results are byte-identical at any shard count.
 	workers := parsweep.Workers(*parallel)
-	shards := parsweep.Shards(*shardsFlag, workers)
-	if topo, err := mkTopo(); err == nil {
-		if r := topo.NumRouters(); shards > r {
-			fmt.Fprintf(stderr, "netload: warning: -shards %d exceeds the %d routers of the %s topology; clamped to %d\n",
-				shards, r, *topoArg, r)
-			shards = r
-		}
-	}
 
 	modes := []flitnet.Mode{flitnet.Deterministic, flitnet.Adaptive, flitnet.CR}
 	var names []string
@@ -275,7 +258,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if *timelineOut != "" || *sloRules != "" {
 			sampler = timeline.New(pointHub.Metrics, timeline.Config{Interval: uint64(*timelineInterval)})
 		}
-		thru, lat, st, idle, err := measure(topo, mode, *vcs, pattern, load, *cycles, *seed, *dense, shards, scope, sampler)
+		thru, lat, st, idle, err := measure(topo, mode, *vcs, pattern, load, *cycles, *seed, *dense, scope, sampler)
 		if err != nil {
 			return err
 		}
@@ -471,11 +454,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	} else {
 		fmt.Fprint(stdout, report.Series(title, "load", names, points))
 		fmt.Fprintf(stdout, "# idle cycles fast-forwarded: %d (event-driven engine; 0 under -dense)\n", idleTotal)
-		reportShards := shards
-		if *dense {
-			reportShards = 1
-		}
-		fmt.Fprintf(stderr, "# shards: %d (intra-run engine shards per point; CR and -dense points always run the serial engine; results are byte-identical at any count)\n", reportShards)
 		if len(tlPoints) > 0 {
 			// Per-phase overhead breakdowns: each point's run segmented into
 			// warmup/steady/burst/drain from its windowed event rates.
@@ -490,7 +468,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	// SLO evaluation replays every completed point's timeline through the
 	// monitor, in input order, so the merged alert report is byte-identical
-	// at any -parallel/-shards value and on either engine. The report is
+	// at any -parallel value and on either engine. The report is
 	// written before the violation exit so the artifact always exists.
 	sloViolated := false
 	if rules != nil {
@@ -575,7 +553,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 // every worm's transit for critical-path attribution; a non-nil sampler
 // rides the net's cycle listener and is flushed at the final cycle, so the
 // timeline is identical whichever engine ran the point.
-func measure(topo topology.Topology, mode flitnet.Mode, vcs int, pattern workload.Pattern, load float64, cycles int, seed int64, dense bool, shards int, scope *obs.FlitScope, sampler *timeline.Sampler) (float64, float64, flitnet.Stats, uint64, error) {
+func measure(topo topology.Topology, mode flitnet.Mode, vcs int, pattern workload.Pattern, load float64, cycles int, seed int64, dense bool, scope *obs.FlitScope, sampler *timeline.Sampler) (float64, float64, flitnet.Stats, uint64, error) {
 	net, err := flitnet.New(flitnet.Config{
 		Topology:        topo,
 		Mode:            mode,
@@ -583,12 +561,10 @@ func measure(topo topology.Topology, mode flitnet.Mode, vcs int, pattern workloa
 		InjectQueue:     8,
 		VirtualChannels: vcs,
 		DenseReference:  dense,
-		Shards:          shards,
 	})
 	if err != nil {
 		return 0, 0, flitnet.Stats{}, 0, err
 	}
-	defer net.Close()
 	if scope != nil {
 		net.SetFlitObserver(scope)
 	}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -46,50 +45,53 @@ func TestRunMeshCSV(t *testing.T) {
 }
 
 // TestRunParallelMatchesSerial is the parallel sweep engine's determinism
-// contract: the report table, the metrics dump, and the Chrome trace — the
-// hub state accumulated across every sweep point — must be byte-identical
-// at any worker count.
+// contract: every artifact — the report table, metrics dump, Chrome trace,
+// critical-path report, and timeline, all accumulated across every sweep
+// point — must be byte-identical at any worker count.
 func TestRunParallelMatchesSerial(t *testing.T) {
-	runWith := func(workers string) (stdout, metrics, trace string) {
+	runWith := func(workers string) (artifacts [5]string) {
 		dir := t.TempDir()
 		mPath := filepath.Join(dir, "m.txt")
 		tPath := filepath.Join(dir, "t.json")
+		cPath := filepath.Join(dir, "c.txt")
+		tlPath := filepath.Join(dir, "tl.json")
 		var out, errOut strings.Builder
 		code := run([]string{"-loads", "0.05,0.1,0.2", "-cycles", "300", "-k", "2", "-levels", "2",
-			"-metrics", mPath, "-trace-out", tPath, "-parallel", workers}, &out, &errOut)
+			"-metrics", mPath, "-trace-out", tPath, "-critpath", cPath, "-timeline-out", tlPath,
+			"-parallel", workers}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("-parallel %s: exit %d: %s", workers, code, errOut.String())
 		}
-		m, err := os.ReadFile(mPath)
-		if err != nil {
-			t.Fatal(err)
+		artifacts[0] = out.String()
+		for i, p := range []string{mPath, tPath, cPath, tlPath} {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			artifacts[i+1] = string(b)
 		}
-		tr, err := os.ReadFile(tPath)
-		if err != nil {
-			t.Fatal(err)
+		return artifacts
+	}
+	names := [5]string{"stdout", "metrics", "trace", "critpath", "timeline"}
+	serial := runWith("1")
+	for _, workers := range []string{"2", "4"} {
+		got := runWith(workers)
+		for i := range got {
+			if got[i] != serial[i] {
+				t.Errorf("%s differs between -parallel 1 and -parallel %s:\n--- serial ---\n%s--- parallel ---\n%s",
+					names[i], workers, serial[i], got[i])
+			}
 		}
-		return out.String(), string(m), string(tr)
-	}
-	serialOut, serialMetrics, serialTrace := runWith("1")
-	parOut, parMetrics, parTrace := runWith("8")
-	if parOut != serialOut {
-		t.Errorf("stdout differs between -parallel 1 and -parallel 8:\n--- serial ---\n%s--- parallel ---\n%s", serialOut, parOut)
-	}
-	if parMetrics != serialMetrics {
-		t.Errorf("metrics dump differs between -parallel 1 and -parallel 8:\n--- serial ---\n%s--- parallel ---\n%s", serialMetrics, parMetrics)
-	}
-	if parTrace != serialTrace {
-		t.Errorf("trace differs between -parallel 1 and -parallel 8:\n--- serial ---\n%s--- parallel ---\n%s", serialTrace, parTrace)
 	}
 }
 
-// TestRunShardedMatchesSerial is the sharded engine's CLI contract: every
-// artifact — the report table, metrics dump, Chrome trace, critical-path
-// report, and timeline — must be byte-identical at any -shards value, and
-// sharding must compose with -parallel without changing a byte either. The
-// effective shard count is run metadata and goes to stderr.
+// TestRunShardedMatchesSerial is the mesh side of the same contract: with
+// the load/mode grid of a virtual-channel mesh sharded across -parallel
+// workers, every artifact — the report table, metrics dump, Chrome trace,
+// critical-path report, and timeline — must be byte-identical to the serial
+// run, including when -parallel is left at its GOMAXPROCS default.
 func TestRunShardedMatchesSerial(t *testing.T) {
-	runWith := func(extra ...string) (stdout, metrics, trace, critpath, tl string) {
+	runWith := func(extra ...string) (artifacts [5]string) {
 		dir := t.TempDir()
 		mPath := filepath.Join(dir, "m.txt")
 		tPath := filepath.Join(dir, "t.json")
@@ -103,54 +105,30 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("%v: exit %d: %s", extra, code, errOut.String())
 		}
-		read := func(p string) string {
+		artifacts[0] = out.String()
+		for i, p := range []string{mPath, tPath, cPath, tlPath} {
 			b, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return string(b)
+			artifacts[i+1] = string(b)
 		}
-		return out.String(), read(mPath), read(tPath), read(cPath), read(tlPath)
+		return artifacts
 	}
-	serial := [5]string{}
-	serial[0], serial[1], serial[2], serial[3], serial[4] = runWith("-shards", "1", "-parallel", "1")
 	names := [5]string{"stdout", "metrics", "trace", "critpath", "timeline"}
+	serial := runWith("-parallel", "1")
 	for _, variant := range [][]string{
-		{"-shards", "2", "-parallel", "1"},
-		{"-shards", "3", "-parallel", "1"},
-		{"-shards", "2", "-parallel", "4"},
-		// No -shards: the unset flag is auto, which selects the serial engine
-		// (explicit 0 is an error).
 		{"-parallel", "2"},
+		{"-parallel", "3"},
+		// No -parallel: the unset flag is GOMAXPROCS workers.
+		{},
 	} {
-		got := [5]string{}
-		got[0], got[1], got[2], got[3], got[4] = runWith(variant...)
+		got := runWith(variant...)
 		for i := range got {
 			if got[i] != serial[i] {
 				t.Errorf("%s differs between serial and %v", names[i], variant)
 			}
 		}
-	}
-}
-
-// TestRunShardsClampWarning: a -shards value beyond the topology's router
-// count is clamped with a warning, never fatal, and stderr carries the
-// effective count.
-func TestRunShardsClampWarning(t *testing.T) {
-	// The GOMAXPROCS budget clamp runs first; pin it high so the
-	// router-count clamp is what fires regardless of the host's cores.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	var out, errOut strings.Builder
-	code := run([]string{"-topology", "mesh", "-w", "2", "-h", "2", "-vc", "2",
-		"-loads", "0.1", "-cycles", "100", "-shards", "64", "-parallel", "1"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "clamped to 4") {
-		t.Errorf("stderr missing clamp warning:\n%s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "# shards: 4") {
-		t.Errorf("stderr missing effective shard count:\n%s", errOut.String())
 	}
 }
 
@@ -174,11 +152,11 @@ func TestRunErrors(t *testing.T) {
 // sane (at least the minimum path length).
 func TestMeasureMonotoneBelowSaturation(t *testing.T) {
 	topo := topology.MustFatTree(2, 2)
-	lo, latLo, _, _, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.02, 1500, 7, false, 1, nil, nil)
+	lo, latLo, _, _, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.02, 1500, 7, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, latHi, _, idle, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.10, 1500, 7, false, 1, nil, nil)
+	hi, latHi, _, idle, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.10, 1500, 7, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

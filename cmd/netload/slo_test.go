@@ -76,14 +76,13 @@ func TestObsNetloadSLOCompliant(t *testing.T) {
 }
 
 // TestObsNetloadSLODeterminism: the alert report is byte-identical across
-// worker counts, engine shards, and the dense reference engine — the alert
+// worker counts and the dense reference engine — the alert
 // determinism contract CI gates with the canonical rules.
 func TestObsNetloadSLODeterminism(t *testing.T) {
 	rules := sloRules(t, "tight.yaml", tightSLO)
 	_, base := runSLO(t, rules, "-parallel", "1")
 	for _, extra := range [][]string{
 		{"-parallel", "4"},
-		{"-shards", "2"},
 		{"-dense"},
 	} {
 		_, got := runSLO(t, rules, extra...)

@@ -15,7 +15,7 @@
 //	twin -compare twin.json                # calibrate and gate against the baseline
 //	twin -fit                              # regenerate the tables.go knot tables
 //	twin -speedup -speedup-floor 10000     # measure and gate the twin's speedup
-//	twin -calibrate -parallel 8 -shards 2  # sweep options (report is byte-identical)
+//	twin -calibrate -parallel 8            # sweep workers (report is byte-identical)
 package main
 
 import (
@@ -52,15 +52,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit JSON")
 	csvOut := fs.Bool("csv", false, "emit CSV (calibration report only)")
 	calibrate := fs.Bool("calibrate", false,
-		"sweep twin-vs-simulator across the committed grid and print the calibration report (byte-identical at any -parallel/-shards value and engine)")
+		"sweep twin-vs-simulator across the committed grid and print the calibration report (byte-identical at any -parallel value and engine)")
 	record := fs.String("record", "", "calibrate and write the JSON accuracy baseline to this file")
 	compare := fs.String("compare", "", "calibrate and gate against the committed baseline in this file (exit 1 on any drift)")
 	fit := fs.Bool("fit", false, "re-simulate the knot loads and print the regenerated tables.go knot tables")
 	speedup := fs.Bool("speedup", false, "measure twin evaluation time against simulating the same point")
 	speedupFloor := fs.Float64("speedup-floor", 0, "with -speedup, fail unless the measured factor reaches this floor")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the simulation sweep (0 = GOMAXPROCS, 1 = serial)")
-	shardsFlag := fs.Int("shards", 0,
-		"engine shards per simulation point (0 = auto, which selects 1, the serial engine; results are byte-identical at any value)")
 	dense := fs.Bool("dense", false,
 		"simulate with the dense reference engine instead of the event-driven scheduler; results are byte-identical, only speed differs")
 	fs.Usage = func() {
@@ -70,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := parsweep.ValidatePositiveFlags(fs, "parallel", "shards"); err != nil {
+	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
 		fmt.Fprintln(stderr, "twin:", err)
 		return 1
 	}
@@ -85,13 +83,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	opt := twin.Options{Parallel: *parallel, Shards: *shardsFlag, Dense: *dense}
+	opt := twin.Options{Parallel: *parallel, Dense: *dense}
 	// Worker accounting goes to stderr: calibration stdout must stay
-	// byte-identical across -parallel/-shards values, since CI diffs it.
+	// byte-identical across -parallel values, since CI diffs it.
 	if modes > 0 {
-		workers := parsweep.Workers(*parallel)
-		fmt.Fprintf(stderr, "# workers: %d\n# shards: %d (per simulation point)\n",
-			workers, parsweep.Shards(*shardsFlag, workers))
+		fmt.Fprintf(stderr, "# workers: %d\n", parsweep.Workers(*parallel))
 	}
 
 	switch {

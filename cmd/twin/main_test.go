@@ -65,31 +65,31 @@ func TestPredictErrors(t *testing.T) {
 }
 
 // TestFlagValidation: explicitly-set non-positive pool sizes error out
-// instead of silently falling back to auto-sizing.
+// instead of silently falling back to auto-sizing, and the removed -shards
+// flag is rejected as undefined.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		ok   bool
+		want string // "" = must succeed
 	}{
-		{"default auto", nil, true},
-		{"explicit workers", []string{"-parallel", "2"}, true},
-		{"zero parallel", []string{"-parallel", "0"}, false},
-		{"negative parallel", []string{"-parallel", "-1"}, false},
-		{"zero shards", []string{"-shards", "0"}, false},
-		{"negative shards", []string{"-shards", "-2"}, false},
+		{"default auto", nil, ""},
+		{"explicit workers", []string{"-parallel", "2"}, ""},
+		{"zero parallel", []string{"-parallel", "0"}, "must be a positive count"},
+		{"negative parallel", []string{"-parallel", "-1"}, "must be a positive count"},
+		{"shards removed", []string{"-shards", "2"}, "flag provided but not defined: -shards"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			code, _, errb := runTwin(t, c.args...)
-			if c.ok && code != 0 {
+			if c.want == "" && code != 0 {
 				t.Fatalf("exit %d: %s", code, errb)
 			}
-			if !c.ok {
+			if c.want != "" {
 				if code == 0 {
-					t.Fatal("accepted non-positive pool size")
+					t.Fatalf("accepted %v", c.args)
 				}
-				if !strings.Contains(errb, "must be a positive count") {
+				if !strings.Contains(errb, c.want) {
 					t.Fatalf("unclear message: %q", errb)
 				}
 			}
@@ -125,7 +125,7 @@ func TestCalibrateRecordCompare(t *testing.T) {
 	}
 	// The worker accounting lives on stderr so that stdout stays
 	// byte-identical across -parallel counts.
-	if !strings.Contains(errb, "# workers:") || !strings.Contains(errb, "# shards:") {
+	if !strings.Contains(errb, "# workers:") {
 		t.Errorf("stderr missing worker accounting: %q", errb)
 	}
 }

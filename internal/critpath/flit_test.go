@@ -51,7 +51,6 @@ func flitPointTrace(tb testing.TB, mode flitnet.Mode, load float64, cycles int) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer net.Close()
 	h := obs.NewHub()
 	net.SetFlitObserver(h.FlitScope())
 	gen, err := workload.NewGenerator(workload.Uniform{}, net.Nodes(), load, 1)

@@ -177,21 +177,15 @@ func BenchmarkTickSparse(b *testing.B) {
 	}
 }
 
-// benchTickLarge measures one simulator cycle of a 1024-router mesh under
-// heavy bisection traffic (every node sending to its mirror) at the given
-// shard count. Shards=1 is the serial engine; the sharded variants must
-// produce byte-identical results, so the only thing the shard count can
-// change is the wall clock. The topology is sized so per-cycle route work
-// dominates the barrier cost — the regime the sharded engine targets.
+// BenchmarkTickLarge measures one simulator cycle of a 1024-router mesh
+// under heavy bisection traffic (every node sending to its mirror).
 // Re-seeding when the network drains happens outside the timer.
-func benchTickLarge(b *testing.B, shards int) {
+func BenchmarkTickLarge(b *testing.B) {
 	n := MustNew(Config{
 		Topology:    topology.MustMesh(32, 32),
 		Mode:        Deterministic,
 		PacketWords: 8,
-		Shards:      shards,
 	})
-	defer n.Close()
 	payload := make([]network.Word, 6)
 	reseed := func() {
 		for node := 0; node < 1024; node++ {
@@ -228,17 +222,6 @@ func benchTickLarge(b *testing.B, shards int) {
 		n.tickOnce()
 	}
 }
-
-// BenchmarkTickLarge is the serial baseline of the sharded scaling curve.
-func BenchmarkTickLarge(b *testing.B) { benchTickLarge(b, 1) }
-
-// BenchmarkTickSharded2/4/8 are the same workload on 2, 4, and 8 shards.
-// The perfreg gate compares flitnet-tick-large against the 4-shard twin
-// within one snapshot and requires a 2x speedup on machines with at least
-// four processors.
-func BenchmarkTickSharded2(b *testing.B) { benchTickLarge(b, 2) }
-func BenchmarkTickSharded4(b *testing.B) { benchTickLarge(b, 4) }
-func BenchmarkTickSharded8(b *testing.B) { benchTickLarge(b, 8) }
 
 // BenchmarkWormEndToEnd measures one packet's full flit-level journey.
 func BenchmarkWormEndToEnd(b *testing.B) {

@@ -35,7 +35,6 @@ func (r *diffRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 func runDiffWorkload(t *testing.T, cfg Config, seed uint64, injections, burst int) (transcript []string, stats Stats, cycle uint64) {
 	t.Helper()
 	n := MustNew(cfg)
-	defer n.Close()
 	nodes := n.Nodes()
 	rng := diffRNG(seed)
 	drain := func(tag string) {

@@ -96,9 +96,6 @@ func (n *Net) idleCycles(budget int) int {
 	if n.dense {
 		return 0
 	}
-	if n.sh != nil {
-		return n.sh.idleCycles(budget)
-	}
 	if len(n.lanes.sorted)+len(n.lanes.added)+len(n.ready.sorted)+len(n.ready.added) > 0 {
 		return 0
 	}
@@ -126,10 +123,6 @@ func (n *Net) tickOnce() {
 	if n.dense {
 		n.denseInjectPhase()
 		n.denseRoutePhase()
-		return
-	}
-	if n.sh != nil {
-		n.sh.tickOnce()
 		return
 	}
 	n.injectPhase()

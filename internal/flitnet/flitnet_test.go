@@ -2,6 +2,7 @@ package flitnet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Topology: topology.MustMesh(2, 2), BufferFlits: 1}); err == nil {
 		t.Error("accepted one-flit buffers")
+	}
+}
+
+// TestNewRejectsShards: the sharded engine is gone, so Config.Shards only
+// accepts the serial values 0 and 1.
+func TestNewRejectsShards(t *testing.T) {
+	for _, shards := range []int{2, -1} {
+		_, err := New(Config{Topology: topology.MustMesh(2, 2), Shards: shards})
+		if err == nil || !strings.Contains(err.Error(), "sharded engine was removed") {
+			t.Errorf("Shards %d: err = %v, want a removed-engine error", shards, err)
+		}
+	}
+	for _, shards := range []int{0, 1} {
+		if _, err := New(Config{Topology: topology.MustMesh(2, 2), Shards: shards}); err != nil {
+			t.Errorf("Shards %d: %v", shards, err)
+		}
 	}
 }
 

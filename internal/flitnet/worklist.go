@@ -79,7 +79,6 @@ type wakeHeap struct {
 
 func (w *wakeHeap) len() int      { return len(w.h) }
 func (w *wakeHeap) minAt() uint64 { return w.h[0].at }
-func (w *wakeHeap) reset()        { w.h = w.h[:0] }
 
 func (w *wakeHeap) push(at uint64, flow int32) {
 	w.h = append(w.h, wakeEntry{at, flow})

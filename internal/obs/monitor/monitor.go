@@ -5,9 +5,9 @@
 // bounds, link-utilization ceilings, multi-window burn rates) with
 // open/close hysteresis, on simulated-cycle time only. Two runs of the
 // same scenario therefore produce byte-identical incident reports at any
-// host parallelism, shard count, or flit-engine choice, and the live and
-// replay paths agree by construction (both evaluate exactly the values
-// the exported timeline carries).
+// host parallelism or flit-engine choice, and the live and replay paths
+// agree by construction (both evaluate exactly the values the exported
+// timeline carries).
 //
 // The steady-state evaluation path allocates nothing: rules are compiled
 // to flat per-series dispatch lists refreshed only when the registry grows

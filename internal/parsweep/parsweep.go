@@ -27,34 +27,6 @@ func Workers(n int) int {
 	return n
 }
 
-// Shards resolves a -shards flag value against the sweep's worker count.
-// Requested values below 1 (auto) select 1, the serial engine: the sharded
-// engine has measured slower than serial on every host the repository has
-// timed, so auto never picks it. An explicit request is held to the budget
-// the grid fan-out leaves, max(1, GOMAXPROCS/workers): the two forms of
-// parallelism multiply (each of the workers' simulations runs its own
-// shard goroutines), and the fan-out — which parallelizes whole
-// independent runs with no barrier — takes precedence. Shard counts never
-// change results — the sharded engine is byte-identical at any count — so
-// the clamp only caps goroutines, never semantics. Callers pass the
-// normalized Workers value.
-func Shards(requested, workers int) int {
-	if requested < 1 {
-		return 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	budget := runtime.GOMAXPROCS(0) / workers
-	if budget < 1 {
-		budget = 1
-	}
-	if requested > budget {
-		return budget
-	}
-	return requested
-}
-
 // Run executes fn(i) for every i in [0, n) across at most workers
 // goroutines. fn must confine its writes to index-i state; Run imposes no
 // ordering between jobs. With workers <= 1 the jobs run serially on the

@@ -25,18 +25,17 @@ type BenchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// Bench names the compare gate treats specially: the idle fast-forward and
-// sharded-engine speedups are gated within one snapshot — each new-engine
-// bench against its baseline recorded in the same run on the same machine,
-// so wall-clock ratios are meaningful.
+// Bench names of the recorded allocation benchmarks. The idle fast-forward
+// speedup is gated within one snapshot — the event-driven bench against its
+// dense baseline recorded in the same run on the same machine, so the
+// wall-clock ratio is meaningful.
 const (
-	BenchTickIdle        = "flitnet-tick-idle"
-	BenchTickIdleDense   = "flitnet-tick-idle-dense"
-	BenchTickSparse      = "flitnet-tick-sparse"
-	BenchTickLarge       = "flitnet-tick-large"
-	BenchTickLargeShard4 = "flitnet-tick-large-shard4"
-	BenchTwinEval        = "twin-eval"
-	BenchMonitorEval     = "monitor-eval"
+	BenchTickIdle      = "flitnet-tick-idle"
+	BenchTickIdleDense = "flitnet-tick-idle-dense"
+	BenchTickSparse    = "flitnet-tick-sparse"
+	BenchTickLarge     = "flitnet-tick-large"
+	BenchTwinEval      = "twin-eval"
+	BenchMonitorEval   = "monitor-eval"
 )
 
 // recordBenches runs the allocation benchmarks the PR gate tracks: the
@@ -53,8 +52,7 @@ func recordBenches() []BenchResult {
 		benchResult(BenchTickIdle, func(b *testing.B) { benchFlitnetIdle(b, false) }),
 		benchResult(BenchTickIdleDense, func(b *testing.B) { benchFlitnetIdle(b, true) }),
 		benchResult(BenchTickSparse, benchFlitnetSparse),
-		benchResult(BenchTickLarge, func(b *testing.B) { benchFlitnetLarge(b, 1) }),
-		benchResult(BenchTickLargeShard4, func(b *testing.B) { benchFlitnetLarge(b, 4) }),
+		benchResult(BenchTickLarge, benchFlitnetLarge),
 		benchResult("timeline-sample", benchTimelineSample),
 		benchResult(BenchTwinEval, benchTwinEval),
 		benchResult(BenchMonitorEval, benchMonitorEval),
@@ -233,23 +231,17 @@ func benchFlitnetSparse(b *testing.B) {
 }
 
 // benchFlitnetLarge is the exported-API twin of the flitnet package's
-// BenchmarkTickLarge/BenchmarkTickSharded4: one cycle of a 1024-router
-// mesh under heavy bisection traffic, serial against four shards. Both
-// engines produce byte-identical results, so the pair isolates the wall
-// clock of the parallel route phase; the compare gate holds the ratio at
-// 2x within one snapshot — but only on machines with at least four
-// processors, where the shards actually run concurrently.
-func benchFlitnetLarge(b *testing.B, shards int) {
+// BenchmarkTickLarge: one cycle of a 1024-router mesh under heavy
+// bisection traffic.
+func benchFlitnetLarge(b *testing.B) {
 	net, err := flitnet.New(flitnet.Config{
 		Topology:    topology.MustMesh(32, 32),
 		Mode:        flitnet.Deterministic,
 		PacketWords: 8,
-		Shards:      shards,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer net.Close()
 	payload := make([]network.Word, 6)
 	injected := uint64(0)
 	reseed := func() {

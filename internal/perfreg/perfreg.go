@@ -52,11 +52,8 @@ import (
 // Version 6 added the analytic-twin calibration scenario (the
 // per-regime MAPE and Pearson-r accuracy aggregates as permyriad sim keys,
 // exact-equality gated like every other deterministic metric) and the
-// twin-eval benchmark. Version 5 added the GOMAXPROCS stamp and the sharded-engine
-// scaling benchmarks (the large-mesh tick serial and at four shards,
-// recorded in the same run so the parallel speedup gates within one
-// snapshot — and only on machines with enough processors to mean it).
-// Version 4 added the timeline digests (per-scenario windowed
+// twin-eval benchmark. Version 5 added the GOMAXPROCS stamp and the
+// large-mesh tick benchmark. Version 4 added the timeline digests (per-scenario windowed
 // metrics timelines hashed into sim keys, so any PR that shifts *when*
 // events happen fails the exact-equality gate even if the totals agree)
 // and the timeline-sample allocation benchmark. Version 3 added the
@@ -98,10 +95,8 @@ type Snapshot struct {
 	// metrics only gate between snapshots recorded at the same count.
 	// Absent (schema 1) means serial.
 	Parallel int `json:"parallel,omitempty"`
-	// MaxProcs is the GOMAXPROCS the snapshot was recorded under. The
-	// sharded-engine speedup only gates when the recording machine had at
-	// least four processors; on smaller machines the shards time-slice one
-	// core and the ratio measures nothing. Absent (schema < 5) means
+	// MaxProcs is the GOMAXPROCS the snapshot was recorded under: a
+	// provenance stamp, read by no gate. Absent (schema < 5) means
 	// unknown.
 	MaxProcs  int              `json:"max_procs,omitempty"`
 	Scenarios []ScenarioResult `json:"scenarios"`

@@ -2,7 +2,6 @@ package perfreg
 
 import (
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -293,8 +292,8 @@ func TestPerfregRecordBenchesSmoke(t *testing.T) {
 		t.Skip("allocation benchmarks take a couple of seconds")
 	}
 	benches := recordBenches()
-	if len(benches) != 10 {
-		t.Fatalf("got %d benches, want 10", len(benches))
+	if len(benches) != 9 {
+		t.Fatalf("got %d benches, want 9", len(benches))
 	}
 	byName := make(map[string]BenchResult, len(benches))
 	for _, b := range benches {
@@ -310,74 +309,6 @@ func TestPerfregRecordBenchesSmoke(t *testing.T) {
 	if idle.NsPerOp <= 0 || dense.NsPerOp/idle.NsPerOp < idleSpeedupFloor {
 		t.Errorf("idle fast-forward speedup %.1fx under the %.0fx floor (dense %.0f ns/op, event %.0f ns/op)",
 			dense.NsPerOp/idle.NsPerOp, idleSpeedupFloor, dense.NsPerOp, idle.NsPerOp)
-	}
-	serial, sharded := byName[BenchTickLarge], byName[BenchTickLargeShard4]
-	if sharded.NsPerOp <= 0 {
-		t.Errorf("sharded scaling bench unmeasurable: %.0f ns/op", sharded.NsPerOp)
-	} else if runtime.GOMAXPROCS(0) >= shardSpeedupMinProcs && serial.NsPerOp/sharded.NsPerOp < shardSpeedupFloor {
-		t.Errorf("sharded tick speedup %.2fx under the %.1fx floor at GOMAXPROCS=%d (serial %.0f ns/op, 4-shard %.0f ns/op)",
-			serial.NsPerOp/sharded.NsPerOp, shardSpeedupFloor, runtime.GOMAXPROCS(0), serial.NsPerOp, sharded.NsPerOp)
-	} else {
-		t.Logf("sharded tick speedup %.2fx at GOMAXPROCS=%d (serial %.0f ns/op, 4-shard %.0f ns/op)",
-			serial.NsPerOp/sharded.NsPerOp, runtime.GOMAXPROCS(0), serial.NsPerOp, sharded.NsPerOp)
-	}
-}
-
-// TestPerfregShardSpeedupGate exercises the within-snapshot sharded-engine
-// gate: a healthy ratio passes, a collapsed one fails — but only for
-// snapshots recorded on machines with enough processors for the shards to
-// actually run concurrently. Small-machine and pre-schema-5 snapshots get
-// an informational row.
-func TestPerfregShardSpeedupGate(t *testing.T) {
-	old := recordOnce(t)
-	scaling := func(serialNs, shardNs float64, maxProcs int) *Snapshot {
-		s := clone(t, old)
-		s.MaxProcs = maxProcs
-		s.Benches = []BenchResult{
-			{Name: BenchTickLarge, NsPerOp: serialNs},
-			{Name: BenchTickLargeShard4, NsPerOp: shardNs},
-		}
-		return s
-	}
-
-	rep, err := Compare(old, scaling(1000, 300, 8), CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("3.3x speedup failed the gate:\n%s", rep)
-	}
-	if !strings.Contains(rep.String(), "sharded tick 3.33x") {
-		t.Fatalf("report does not show the speedup:\n%s", rep)
-	}
-
-	rep, err = Compare(old, scaling(1000, 800, 8), CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Pass {
-		t.Fatalf("1.25x speedup passed the %.1fx floor:\n%s", shardSpeedupFloor, rep)
-	}
-
-	// Same collapsed ratio on a one-processor recording: informational only.
-	rep, err = Compare(old, scaling(1000, 800, 1), CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("small-machine snapshot was gated on the shard speedup:\n%s", rep)
-	}
-	if !strings.Contains(rep.String(), "not gated: snapshot recorded at GOMAXPROCS=1") {
-		t.Fatalf("report does not explain why the gate is off:\n%s", rep)
-	}
-
-	// No scaling benches recorded (pre-schema-5 snapshot): nothing to gate.
-	rep, err = Compare(old, clone(t, old), CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("bench-less snapshots failed the shard gate:\n%s", rep)
 	}
 }
 

@@ -75,14 +75,14 @@ func TestCalibrateProtoExact(t *testing.T) {
 }
 
 // TestCalibrateDeterministic: the report must be byte-identical across
-// worker counts, shard counts, and engines — the property CI diffs.
+// worker counts and engines — the property CI diffs.
 func TestCalibrateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full calibration sweeps")
 	}
 	base := render(t, calibrated(t))
 	for _, opt := range []Options{
-		{Parallel: 4, Shards: 2},
+		{Parallel: 4},
 		{Parallel: 2, Dense: true},
 	} {
 		rep, err := Calibrate(opt)

@@ -2,6 +2,7 @@ package critpath_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -70,6 +71,50 @@ func TestReconcileDetectsCounterDrift(t *testing.T) {
 	}).Inc()
 	if err := critpath.Reconcile(h); err == nil {
 		t.Fatal("reconciliation accepted a counter with no matching trace event")
+	}
+}
+
+// TestReconcileDistinctCells counts events per distinct (name, proto,
+// node) cell: one event name on several nodes, node ids at both ends of
+// int, and hundreds of dynamic names. Each reconciles exactly and still
+// catches a drifted counter.
+func TestReconcileDistinctCells(t *testing.T) {
+	cases := map[string]func(h *obs.Hub) obs.Key{
+		"narrow-nodes": func(h *obs.Hub) obs.Key {
+			for node := 0; node < 4; node++ {
+				for i := 0; i <= node; i++ {
+					h.NodeScope(node).Event("finite.start")
+				}
+			}
+			return obs.Key{Name: "protocol_events_total", Node: 2, Proto: "finite", Event: "finite.start"}
+		},
+		"extreme-nodes": func(h *obs.Hub) obs.Key {
+			for _, node := range []int{math.MinInt, 0, 3, math.MaxInt} {
+				h.NodeScope(node).Event("finite.start")
+				h.NodeScope(node).Event("finite.packet.sent")
+			}
+			return obs.Key{Name: "protocol_events_total", Node: math.MinInt, Proto: "finite", Event: "finite.start"}
+		},
+		"many-names": func(h *obs.Hub) obs.Key {
+			for i := 0; i < 600; i++ {
+				h.NodeScope(i % 3).Event(fmt.Sprintf("dyn%d.event", i))
+			}
+			h.NetScope("cm5").Backpressure(1)
+			return obs.Key{Name: "protocol_events_total", Node: 2, Proto: "dyn599", Event: "dyn599.event"}
+		},
+	}
+	for name, record := range cases {
+		t.Run(name, func(t *testing.T) {
+			h := obs.NewHub()
+			drift := record(h)
+			if err := critpath.Reconcile(h); err != nil {
+				t.Fatal(err)
+			}
+			h.Metrics.Counter(drift).Inc()
+			if err := critpath.Reconcile(h); err == nil {
+				t.Fatalf("reconciliation accepted a drifted %s", drift)
+			}
+		})
 	}
 }
 

@@ -24,15 +24,8 @@ func Reconcile(h *obs.Hub) error {
 	}
 
 	expected := make(map[obs.Key]uint64)
-	for _, e := range h.Trace.Events() {
-		if e.Phase == obs.PhaseComplete {
-			continue // spans are derived views; only instants mirror counters
-		}
-		k, ok := counterFor(e)
-		if !ok {
-			return fmt.Errorf("trace event %q (node %d, proto %q) has no counter mapping", e.Name, e.Node, e.Proto)
-		}
-		expected[k]++
+	for c, n := range instantCounts(h.Trace) {
+		expected[counterFor(h.Trace.Symbol(c.name), h.Trace.Symbol(c.proto), c.node)] += n
 	}
 
 	// Every trace-derived count must match its counter...
@@ -57,6 +50,25 @@ func Reconcile(h *obs.Hub) error {
 	return nil
 }
 
+// instantCell is one distinct (name, proto, node) of the trace's instant
+// events, with name and proto as the tracer's symbol ids.
+type instantCell struct {
+	name, proto uint32
+	node        int
+}
+
+// instantCounts counts the trace's instant events per distinct cell, so
+// counter keys are resolved once per cell rather than once per event.
+func instantCounts(tr *obs.Tracer) map[instantCell]uint64 {
+	counts := make(map[instantCell]uint64)
+	for i := 0; i < tr.Len(); i++ {
+		if r := tr.At(i); r.Phase != obs.PhaseComplete {
+			counts[instantCell{r.Name, r.Proto, r.Node}]++
+		}
+	}
+	return counts
+}
+
 // netAnomalies maps the network-substrate anomaly event names (emitted with
 // the destination node and the substrate as Proto) to their counters.
 var netAnomalies = map[string]string{
@@ -72,18 +84,19 @@ var ctrlEvents = map[string]string{
 	"ctrlnet.scan.done":    "ctrlnet_scans_total",
 }
 
-// counterFor returns the registry key the given instant event incremented.
-func counterFor(e obs.TraceEvent) (obs.Key, bool) {
-	if name, ok := netAnomalies[e.Name]; ok {
+// counterFor returns the registry key an instant event with the given
+// name, proto and node incremented.
+func counterFor(name, proto string, node int) obs.Key {
+	if counter, ok := netAnomalies[name]; ok {
 		// NetScope anomalies: counted per substrate, traced per dest node.
-		return obs.Key{Name: name, Node: -1, Proto: e.Proto}, true
+		return obs.Key{Name: counter, Node: -1, Proto: proto}
 	}
-	if name, ok := ctrlEvents[e.Name]; ok {
-		return obs.Key{Name: name, Node: -1, Proto: "ctrlnet"}, true
+	if counter, ok := ctrlEvents[name]; ok {
+		return obs.Key{Name: counter, Node: -1, Proto: "ctrlnet"}
 	}
 	// NodeScope and FlitScope events mirror protocol_events_total directly
 	// (FlitScope files under Node -1, Proto "flitnet").
-	return obs.Key{Name: "protocol_events_total", Node: e.Node, Proto: e.Proto, Event: e.Name}, true
+	return obs.Key{Name: "protocol_events_total", Node: node, Proto: proto, Event: name}
 }
 
 // eventMirrored reports whether a counter key is one the trace mirrors

@@ -288,10 +288,8 @@ func netTID(maxNode int) int { return maxNode + 1 }
 // the timeline can be filtered by the paper's axes.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	maxNode := 0
-	for _, e := range t.events {
-		if e.Node > maxNode {
-			maxNode = e.Node
-		}
+	for i := 0; i < t.n; i++ {
+		maxNode = max(maxNode, t.At(i).Node)
 	}
 	out := []chromeEvent{{
 		Name: "process_name", Phase: "M", PID: chromePID,
@@ -319,9 +317,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]any{"name": label},
 		})
 	}
-	for _, e := range t.events {
+	for i := 0; i < t.n; i++ {
+		e := t.At(i)
 		nameTID(e.Node)
-		args := map[string]any{"round": e.Round, "seq": e.Seq, "proto": e.Proto}
+		args := map[string]any{"round": e.Round, "seq": uint64(i) + 1, "proto": t.syms[e.Proto]}
 		if e.MsgID != 0 {
 			args["msg"] = e.MsgID
 		}
@@ -335,7 +334,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			args["parent"] = e.Parent
 		}
 		ce := chromeEvent{
-			Name:  e.Name,
+			Name:  t.syms[e.Name],
 			Cat:   e.Axis.String(),
 			Phase: string(rune(e.Phase)),
 			TS:    e.TS,

@@ -206,11 +206,14 @@ func (s *NodeScope) EndDispatch(ctx DispatchCtx) {
 	s.curMsg, s.curPkt = ctx.prevMsg, ctx.prevPkt
 }
 
-// flitEventEntry caches the per-name counter and axis for a FlitScope
-// event, mirroring the node scope's eventEntry.
+// flitEventEntry caches what the flit hot path needs for one event or
+// span name: the name's id in the scope's tracer, its axis, and (for
+// instant events) its mirroring counter.
 type flitEventEntry struct {
-	counter *Counter
+	key     string
+	counter *Counter // nil until the name is first recorded as an instant
 	axis    Axis
+	name    uint32
 }
 
 // FlitScope records flit-level transit events for the wormhole simulator
@@ -223,14 +226,16 @@ type flitEventEntry struct {
 // All emission sites live in the engine functions shared by the dense and
 // event-driven steppers, so a trace is byte-identical across both engines.
 type FlitScope struct {
-	hub    *Hub
-	events map[string]*flitEventEntry
+	hub *Hub
+	// events holds one entry per name, in first-seen order. The engine
+	// emits under ten names, so a linear search beats hashing the name.
+	events []flitEventEntry
+	trace  *Tracer // the tracer the cached symbol ids belong to
+	proto  uint32  // flitProto's id in trace
 }
 
 // FlitScope returns the recording scope for the flit-level network.
-func (h *Hub) FlitScope() *FlitScope {
-	return &FlitScope{hub: h, events: make(map[string]*flitEventEntry)}
-}
+func (h *Hub) FlitScope() *FlitScope { return &FlitScope{hub: h} }
 
 // flitProto is the protocol/subsystem label flit events are filed under.
 const flitProto = "flitnet"
@@ -238,17 +243,24 @@ const flitProto = "flitnet"
 // on reports whether the scope should record.
 func (s *FlitScope) on() bool { return s != nil && s.hub.enabled.Load() }
 
-// entry resolves the cached counter/axis for an event name (cold path).
+// entry resolves the cached entry for an event or span name, interning the
+// name on first sight. The ids follow the hub's tracer, which callers may
+// replace between runs. The pointer is valid until the next entry call.
 func (s *FlitScope) entry(name string) *flitEventEntry {
-	e, ok := s.events[name]
-	if !ok {
-		e = &flitEventEntry{
-			counter: s.hub.Metrics.Counter(Key{Name: "protocol_events_total", Node: -1, Proto: flitProto, Event: name}),
-			axis:    AxisForEvent(name),
+	if s.trace != s.hub.Trace {
+		s.trace = s.hub.Trace
+		s.proto = s.trace.intern(flitProto)
+		for i := range s.events {
+			s.events[i].name = s.trace.intern(s.events[i].key)
 		}
-		s.events[name] = e
 	}
-	return e
+	for i := range s.events {
+		if s.events[i].key == name {
+			return &s.events[i]
+		}
+	}
+	s.events = append(s.events, flitEventEntry{key: name, axis: AxisForEvent(name), name: s.trace.intern(name)})
+	return &s.events[len(s.events)-1]
 }
 
 // Event records a named flit-level instant event at a simulator cycle,
@@ -258,9 +270,12 @@ func (s *FlitScope) Event(name string, cycle, msg, pkt, parent uint64) {
 		return
 	}
 	e := s.entry(name)
+	if e.counter == nil {
+		e.counter = s.hub.Metrics.Counter(Key{Name: "protocol_events_total", Node: -1, Proto: flitProto, Event: name})
+	}
 	e.counter.Inc()
-	s.hub.Trace.Record(TraceEvent{
-		Round: cycle, Node: -1, Name: name, Proto: flitProto, Axis: e.axis,
+	s.trace.add(TraceRecord{
+		Round: cycle, Node: -1, Name: e.name, Proto: s.proto, Axis: e.axis,
 		MsgID: msg, PktID: pkt, Parent: parent,
 	})
 }
@@ -337,16 +352,17 @@ func (s *FlitScope) Span(name string, from, to, msg, pkt, parent uint64) uint64 
 	if !s.on() || to <= from {
 		return 0
 	}
+	e := s.entry(name)
 	id := s.hub.newSpanID()
-	s.hub.Trace.Record(TraceEvent{
+	s.trace.add(TraceRecord{
 		Phase:  PhaseComplete,
 		TS:     from * RoundUnits,
 		Dur:    (to - from) * RoundUnits,
 		Round:  from,
 		Node:   -1,
-		Name:   name,
-		Proto:  flitProto,
-		Axis:   AxisForEvent(name),
+		Name:   e.name,
+		Proto:  s.proto,
+		Axis:   e.axis,
 		MsgID:  msg,
 		PktID:  pkt,
 		SpanID: id,

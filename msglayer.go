@@ -430,7 +430,10 @@ type (
 	ObsLevel = obs.Level
 	// ObsHistogram is a fixed-bucket histogram series.
 	ObsHistogram = obs.Histogram
-	// ObsTracer records structured events; export with WriteChromeTrace.
+	// ObsTracer records structured events in a compact chunked store;
+	// export with WriteChromeTrace. Its Events method materializes the
+	// stream as a fresh []ObsTraceEvent snapshot that later Records and
+	// Resets leave unchanged.
 	ObsTracer = obs.Tracer
 	// ObsTraceEvent is one recorded event with simulated-time timestamps.
 	ObsTraceEvent = obs.TraceEvent

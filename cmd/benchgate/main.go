@@ -1,28 +1,27 @@
-// Command benchgate records and gates performance snapshots: the
-// BENCH_PR<k>.json trajectory every PR is judged against.
+// Command benchgate records and gates behaviour snapshots: the committed
+// BENCH_PR10.json baseline every PR is judged against, with older
+// snapshots kept under bench/history.
 //
 // Record mode runs the canonical scenarios (single-packet, finite and
-// indefinite CM-5/CR transfers, one flit-level netload sweep point) N times
-// and writes a schema-versioned snapshot of the deterministic simulation
-// metrics (instruction costs per role × feature × category, rounds, packet
-// counts, flit stats) and the host metrics (wall clock, allocations).
+// indefinite CM-5/CR transfers, one flit-level netload sweep point, the
+// analytic twin's calibration) and the allocation benchmarks, and writes a
+// schema-versioned snapshot of the deterministic simulation metrics
+// (instruction costs per role × feature × category, rounds, packet counts,
+// flit stats, timeline and alert digests) and each bench's allocs/op.
 //
 // Compare mode gates a new snapshot against an old one: sim metrics must
 // match exactly (any instruction-count drift fails), allocation benchmarks
-// must not grow their allocs/op, and host metrics may regress up to a
-// threshold unless the change is statistically insignificant (Welch's
-// t-test). Host metrics only gate between snapshots recorded at the same
-// -parallel count. Exit status 0 means the gate passed, 1 means it failed
-// or errored, 2 means bad usage.
+// must not grow their allocs/op, and the new snapshot's idle fast-forward
+// speedup must clear its floor. Host wall time is not gated here; the
+// perfbench module measures it. Exit status 0 means the gate passed, 1
+// means it failed or errored, 2 means bad usage.
 //
 // Usage:
 //
-//	benchgate -record BENCH_PR2.json -label PR2        # write a snapshot
-//	benchgate -record out.json -n 10 -words 128        # heavier recording
-//	benchgate -record out.json -parallel 1             # serial reps (comparable host numbers)
-//	benchgate -compare BENCH_PR2.json fresh.json       # full gate
-//	benchgate -compare -sim-only old.json new.json     # CI: exact sim gate only
-//	benchgate -compare -threshold 0.2 -alpha 0.01 old.json new.json
+//	benchgate -record fresh.json -label PR10             # write a snapshot
+//	benchgate -record fresh.json -no-benches             # sim metrics only
+//	benchgate -compare BENCH_PR10.json fresh.json        # gate new vs old
+//	benchgate -compare -json BENCH_PR10.json fresh.json  # machine-readable result
 //
 // Flags must precede the snapshot paths (standard library flag parsing).
 package main
@@ -36,7 +35,6 @@ import (
 	"time"
 
 	"msglayer/internal/obs/diff"
-	"msglayer/internal/parsweep"
 	"msglayer/internal/perfreg"
 )
 
@@ -50,29 +48,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	record := fs.String("record", "", "record a snapshot to this path")
 	label := fs.String("label", "", "label stored in the recorded snapshot")
-	n := fs.Int("n", 5, "timed repetitions per scenario when recording")
-	words := fs.Int("words", 64, "protocol transfer size in words when recording")
-	netloadCycles := fs.Int("netload-cycles", 1000, "flit-level measurement cycles when recording")
-	parallel := fs.Int("parallel", 0,
-		"worker goroutines for the timed repetitions (0 = GOMAXPROCS, 1 = serial); host metrics only gate between snapshots recorded at the same count")
 	noBenches := fs.Bool("no-benches", false, "skip the allocation benchmarks when recording")
 	compare := fs.Bool("compare", false, "compare two snapshots: benchgate -compare old.json new.json")
-	threshold := fs.Float64("threshold", 0.10, "fractional host-metric regression that fails the gate")
-	alpha := fs.Float64("alpha", 0.05, "significance level a host regression must reach to fail")
-	simOnly := fs.Bool("sim-only", false, "gate only the deterministic metrics — sim counts and bench allocs/op (CI mode)")
 	jsonOut := fs.Bool("json", false, "with -compare, emit the machine-readable result (verdict, failing keys, diff attribution)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "benchgate: record and gate performance snapshots")
-		fmt.Fprintln(stderr, "  benchgate -record out.json [-label L] [-n 5] [-words 64] [-netload-cycles 1000] [-parallel 0] [-no-benches]")
-		fmt.Fprintln(stderr, "  benchgate -compare [-threshold 0.10] [-alpha 0.05] [-sim-only] [-json] old.json new.json")
+		fmt.Fprintln(stderr, "benchgate: record and gate behaviour snapshots")
+		fmt.Fprintln(stderr, "  benchgate -record out.json [-label L] [-no-benches]")
+		fmt.Fprintln(stderr, "  benchgate -compare [-json] old.json new.json")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
-		fmt.Fprintln(stderr, "benchgate:", err)
-		return 1
 	}
 
 	switch {
@@ -83,25 +69,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchgate: -json only applies to -compare")
 		return 2
 	case *record != "":
+		if fs.NArg() != 0 {
+			fmt.Fprintln(stderr, "benchgate: -record takes no snapshot paths, got", fs.NArg())
+			return 2
+		}
 		return doRecord(perfreg.RecordConfig{
-			Label:         *label,
-			Reps:          *n,
-			Words:         *words,
-			NetloadCycles: *netloadCycles,
-			Parallel:      *parallel,
-			SkipBenches:   *noBenches,
-			Timestamp:     time.Now().UTC().Format(time.RFC3339),
+			Label:       *label,
+			SkipBenches: *noBenches,
+			Timestamp:   time.Now().UTC().Format(time.RFC3339),
 		}, *record, stdout, stderr)
 	case *compare:
 		if fs.NArg() != 2 {
 			fmt.Fprintln(stderr, "benchgate: -compare wants exactly two snapshot paths, got", fs.NArg())
 			return 2
 		}
-		return doCompare(fs.Arg(0), fs.Arg(1), perfreg.CompareOptions{
-			HostThreshold: *threshold,
-			Alpha:         *alpha,
-			SimOnly:       *simOnly,
-		}, *jsonOut, stdout, stderr)
+		return doCompare(fs.Arg(0), fs.Arg(1), *jsonOut, stdout, stderr)
 	}
 	fs.Usage()
 	return 2
@@ -119,8 +101,8 @@ func doRecord(cfg perfreg.RecordConfig, path string, stdout, stderr io.Writer) i
 		fmt.Fprintln(stderr, "benchgate:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchgate: recorded %d scenarios x %d reps (parallel %d) and %d benches to %s in %v\n",
-		len(snap.Scenarios), snap.Reps, snap.Parallel, len(snap.Benches), path, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "benchgate: recorded %d scenarios and %d benches to %s in %v\n",
+		len(snap.Scenarios), len(snap.Benches), path, time.Since(start).Round(time.Millisecond))
 	return 0
 }
 
@@ -128,7 +110,7 @@ func doRecord(cfg perfreg.RecordConfig, path string, stdout, stderr io.Writer) i
 // jsonOut, the machine-readable result). When a deterministic gate fails,
 // the diff engine attributes the regression — which cells moved, by how
 // much, and their blame shares — instead of leaving a bare key list.
-func doCompare(oldPath, newPath string, opt perfreg.CompareOptions, jsonOut bool, stdout, stderr io.Writer) int {
+func doCompare(oldPath, newPath string, jsonOut bool, stdout, stderr io.Writer) int {
 	oldSnap, err := perfreg.ReadFile(oldPath)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchgate:", err)
@@ -139,7 +121,7 @@ func doCompare(oldPath, newPath string, opt perfreg.CompareOptions, jsonOut bool
 		fmt.Fprintln(stderr, "benchgate:", err)
 		return 1
 	}
-	rep, err := perfreg.Compare(oldSnap, newSnap, opt)
+	rep, err := perfreg.Compare(oldSnap, newSnap)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchgate:", err)
 		return 1
@@ -198,18 +180,11 @@ type snapshotRef struct {
 	Label string `json:"label"`
 }
 
-// simAttribution runs the diff engine over the snapshots when a
-// deterministic gate failed — the failures the engine can explain exactly.
-// Host-metric failures are noise-gated elsewhere and get no attribution.
+// simAttribution runs the diff engine over the snapshots when the gate
+// failed: every gate is deterministic, so the engine can explain any
+// failure exactly.
 func simAttribution(rep *perfreg.Report, oldSnap, newSnap *perfreg.Snapshot) *diff.Report {
-	deterministic := false
-	for _, d := range rep.Failing() {
-		if d.Kind == "sim" || d.Kind == "bench" {
-			deterministic = true
-			break
-		}
-	}
-	if !deterministic {
+	if rep.Pass {
 		return nil
 	}
 	return diff.ComparePerfreg(oldSnap, newSnap)

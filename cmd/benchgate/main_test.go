@@ -3,21 +3,51 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"msglayer/internal/obs/diff"
 	"msglayer/internal/perfreg"
 )
 
-// record runs the tool in record mode with tiny parameters.
-func record(t *testing.T, path string) {
-	t.Helper()
+// record runs the tool in record mode without the allocation benchmarks
+// (internal/perfreg smoke-tests those).
+func record(path string) error {
 	var stdout, stderr bytes.Buffer
-	args := []string{"-record", path, "-label", "t", "-n", "2", "-words", "16", "-netload-cycles", "100"}
+	args := []string{"-record", path, "-label", "t", "-no-benches"}
 	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("benchgate %v exited %d: %s", args, code, stderr.String())
+		return fmt.Errorf("benchgate %v exited %d: %s", args, code, stderr.String())
+	}
+	return nil
+}
+
+// shared is one recording the tests that only read a snapshot share.
+var shared = sync.OnceValues(func() ([]byte, error) {
+	dir, err := os.MkdirTemp("", "benchgate-test")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "shared.json")
+	if err := record(path); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(path)
+})
+
+// recordShared writes the shared recording to path.
+func recordShared(t *testing.T, path string) {
+	t.Helper()
+	data, err := shared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -25,13 +55,15 @@ func TestBenchgateIdenticalSeedSnapshotsPass(t *testing.T) {
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
 	// Two independent recordings of the same seeds and sizes.
-	record(t, a)
-	record(t, b)
+	for _, path := range []string{a, b} {
+		if err := record(path); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var stdout, stderr bytes.Buffer
-	// Sim metrics must be identical across recordings; host timing is
-	// noisy, so the determinism claim is gated sim-only.
-	code := run([]string{"-compare", "-sim-only", a, b}, &stdout, &stderr)
+	// Sim metrics must be identical across recordings.
+	code := run([]string{"-compare", a, b}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("identical-seed compare exited %d:\n%s%s", code, stdout.String(), stderr.String())
 	}
@@ -47,7 +79,7 @@ func TestBenchgateIdenticalSeedSnapshotsPass(t *testing.T) {
 func TestBenchgateInjectedRegressionFails(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.json")
-	record(t, a)
+	recordShared(t, a)
 
 	snap, err := perfreg.ReadFile(a)
 	if err != nil {
@@ -68,7 +100,7 @@ func TestBenchgateInjectedRegressionFails(t *testing.T) {
 	}
 
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-compare", "-sim-only", a, bad}, &stdout, &stderr)
+	code := run([]string{"-compare", a, bad}, &stdout, &stderr)
 	if code == 0 {
 		t.Fatalf("+20%% regression passed the gate:\n%s", stdout.String())
 	}
@@ -103,12 +135,12 @@ func injectRegression(t *testing.T, from, to string) {
 func TestBenchgateFailureIncludesAttribution(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.json")
-	record(t, a)
+	recordShared(t, a)
 	bad := filepath.Join(dir, "bad.json")
 	injectRegression(t, a, bad)
 
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-compare", "-sim-only", a, bad}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-compare", a, bad}, &stdout, &stderr); code != 1 {
 		t.Fatalf("injected regression exited %d, want 1:\n%s%s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
@@ -121,7 +153,7 @@ func TestBenchgateFailureIncludesAttribution(t *testing.T) {
 	// A passing compare prints no attribution section.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-compare", "-sim-only", a, a}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-compare", a, a}, &stdout, &stderr); code != 0 {
 		t.Fatalf("self-compare exited %d:\n%s", code, stderr.String())
 	}
 	if strings.Contains(stdout.String(), "differential attribution") {
@@ -132,7 +164,7 @@ func TestBenchgateFailureIncludesAttribution(t *testing.T) {
 func TestBenchgateCompareJSON(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.json")
-	record(t, a)
+	recordShared(t, a)
 	bad := filepath.Join(dir, "bad.json")
 	injectRegression(t, a, bad)
 
@@ -151,7 +183,7 @@ func TestBenchgateCompareJSON(t *testing.T) {
 	runJSON := func(oldPath, newPath string, wantCode int) (result, string) {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-compare", "-sim-only", "-json", oldPath, newPath}, &stdout, &stderr); code != wantCode {
+		if code := run([]string{"-compare", "-json", oldPath, newPath}, &stdout, &stderr); code != wantCode {
 			t.Fatalf("-json compare exited %d, want %d:\n%s", code, wantCode, stderr.String())
 		}
 		var res result
@@ -206,6 +238,7 @@ func TestBenchgateUsageErrors(t *testing.T) {
 		{"-compare", "only-one.json"},
 		{"-record", "x.json", "-compare"},
 		{"-bogus"},
+		{"-record", "x.json", "-no-benches", "stray.json"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -299,9 +299,9 @@ func timelineSections(r *Report, prefix string, a, b *timeline.Timeline) {
 // snapshots: per-scenario Role×Feature×Category instruction waterfalls
 // (reconciled against the independently recorded instr/total), the
 // remaining deterministic sim metrics, timeline digests, and the
-// allocation benchmarks. Host wall-clock samples are deliberately absent:
-// they are machine noise, and this engine only attributes deterministic
-// change (perfreg's statistical gate owns the noisy half).
+// allocation benchmarks. Every input is deterministic: snapshots carry no
+// host wall-clock samples (perfbench measures host time), and the
+// benchmarks contribute only their allocs/op.
 func ComparePerfreg(a, b *perfreg.Snapshot) *Report {
 	r := newReport("perfreg", label(a.Label, "A"), label(b.Label, "B"))
 	if a.Words != b.Words {

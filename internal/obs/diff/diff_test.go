@@ -76,7 +76,7 @@ func runFlit(t *testing.T, mode flitnet.Mode, load float64, cycles int) (*obs.Hu
 // recordedSnapshot memoizes one perfreg recording for the whole test run
 // (recording runs every canonical scenario).
 var recordedSnapshot = sync.OnceValues(func() (*perfreg.Snapshot, error) {
-	return perfreg.Record(perfreg.RecordConfig{Label: "diff-test", Reps: 1, SkipBenches: true})
+	return perfreg.Record(perfreg.RecordConfig{Label: "diff-test", SkipBenches: true})
 })
 
 func snapshot(t *testing.T) *perfreg.Snapshot {

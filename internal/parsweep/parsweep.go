@@ -1,6 +1,6 @@
 // Package parsweep is a bounded worker pool for fanning independent
-// deterministic runs — netload load points, packet-size sweeps, perfreg
-// repetitions, canonical experiment scenarios — across GOMAXPROCS
+// deterministic runs — netload load points, packet-size sweeps, twin
+// calibration points, canonical experiment scenarios — across GOMAXPROCS
 // goroutines.
 //
 // The contract that keeps parallel sweeps byte-identical to serial ones:

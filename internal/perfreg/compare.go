@@ -6,56 +6,20 @@ import (
 	"strings"
 )
 
-// CompareOptions tunes the gate. Zero values select the defaults.
-type CompareOptions struct {
-	// HostThreshold is the fractional host-metric regression that fails
-	// the gate (default 0.10 = +10%).
-	HostThreshold float64
-	// Alpha is the significance level a host regression must reach before
-	// it can fail the gate (default 0.05). Below-threshold or
-	// insignificant changes pass with a "~" note, benchstat-style.
-	Alpha float64
-	// Confidence is the level of the reported mean confidence intervals
-	// (default 0.95).
-	Confidence float64
-	// SimOnly skips the host-metric comparison entirely — the mode CI
-	// uses, where wall-clock numbers from different machines are
-	// meaningless but instruction counts must match exactly. The
-	// allocation benchmarks still gate: allocs/op is deterministic on any
-	// machine.
-	SimOnly bool
-}
-
-func (o *CompareOptions) defaults() {
-	if o.HostThreshold == 0 {
-		o.HostThreshold = 0.10
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.05
-	}
-	if o.Confidence == 0 {
-		o.Confidence = 0.95
-	}
-}
-
 // Delta is one compared metric.
 type Delta struct {
 	Scenario string `json:"scenario"`
 	Metric   string `json:"metric"`
-	// Kind is "sim" (deterministic, exact-equality gate) or "host"
-	// (noisy, statistical gate).
+	// Kind is "sim" (exact-equality gate) or "bench" (allocs/op
+	// no-regression gate, and the within-snapshot idle speedup).
 	Kind string  `json:"kind"`
 	Old  float64 `json:"old"`
 	New  float64 `json:"new"`
-	// OldCI and NewCI are confidence-interval half-widths (host only).
-	OldCI float64 `json:"old_ci,omitempty"`
-	NewCI float64 `json:"new_ci,omitempty"`
 	// Frac is the fractional change (New-Old)/Old.
 	Frac float64 `json:"frac,omitempty"`
-	// P is the Welch two-sided p-value (host only; 1 when untestable).
-	P  float64 `json:"p,omitempty"`
-	OK bool    `json:"ok"`
-	// Note explains the verdict ("exact", "~ p=0.41", "REGRESSION +23%").
+	OK   bool    `json:"ok"`
+	// Note explains the verdict ("exact", "DRIFT +2.00%",
+	// "ALLOC REGRESSION 0 -> 1 allocs/op").
 	Note string `json:"note"`
 }
 
@@ -81,26 +45,15 @@ func (r *Report) Failing() []Delta {
 }
 
 // Compare gates a new snapshot against an old one. Sim metrics must match
-// exactly; host metrics may regress up to the threshold (or more, if the
-// change is statistically insignificant at alpha).
-func Compare(oldSnap, newSnap *Snapshot, opt CompareOptions) (*Report, error) {
-	opt.defaults()
+// exactly, the old snapshot's benches must not grow their allocs/op, and
+// the new snapshot's idle fast-forward speedup must clear its floor.
+// Snapshots recorded at different sizes are incomparable.
+func Compare(oldSnap, newSnap *Snapshot) (*Report, error) {
 	if oldSnap.Words != newSnap.Words || oldSnap.NetloadCycles != newSnap.NetloadCycles {
 		return nil, fmt.Errorf("perfreg: snapshots are incomparable: words %d vs %d, netload cycles %d vs %d",
 			oldSnap.Words, newSnap.Words, oldSnap.NetloadCycles, newSnap.NetloadCycles)
 	}
 	rep := &Report{Pass: true}
-	// Host samples recorded at different worker counts are incomparable —
-	// parallel repetitions time scheduler contention along with the work —
-	// so the host gate only runs between same-parallelism snapshots.
-	compareHosts := !opt.SimOnly && oldSnap.parallelism() == newSnap.parallelism()
-	if !opt.SimOnly && !compareHosts {
-		rep.Deltas = append(rep.Deltas, Delta{
-			Scenario: "-", Metric: "-", Kind: "host", OK: true,
-			Note: fmt.Sprintf("host metrics not gated: snapshots recorded at parallelism %d vs %d",
-				oldSnap.parallelism(), newSnap.parallelism()),
-		})
-	}
 	newByName := make(map[string]*ScenarioResult, len(newSnap.Scenarios))
 	for i := range newSnap.Scenarios {
 		newByName[newSnap.Scenarios[i].Name] = &newSnap.Scenarios[i]
@@ -113,9 +66,6 @@ func Compare(oldSnap, newSnap *Snapshot, opt CompareOptions) (*Report, error) {
 			continue
 		}
 		compareSim(rep, o, n)
-		if compareHosts {
-			compareHost(rep, o, n, opt)
-		}
 	}
 	compareBenches(rep, oldSnap.Benches, newSnap.Benches)
 	gateIdleSpeedup(rep, newSnap.Benches)
@@ -123,11 +73,11 @@ func Compare(oldSnap, newSnap *Snapshot, opt CompareOptions) (*Report, error) {
 }
 
 // idleSpeedupFloor is the minimum ratio of dense-reference to event-driven
-// idle tick cost. Unlike the cross-snapshot host gates, this compares two
-// benches recorded in the same run on the same machine, so wall-clock is
-// meaningful: the event engine fast-forwards an idle mesh in O(1) while the
-// dense scan pays the full topology walk, a gap that is orders of magnitude
-// in practice. Dropping under 10x means the fast-forward stopped engaging.
+// idle tick cost. ns/op is never compared across snapshots, but this ratio
+// compares two benches recorded in the same run on the same machine, so
+// wall-clock is meaningful: the event engine fast-forwards an idle mesh in
+// O(1) while the dense scan pays the full topology walk, a gap that is
+// orders of magnitude in practice. Dropping under 10x means the fast-forward stopped engaging.
 const idleSpeedupFloor = 10.0
 
 // gateIdleSpeedup holds the new snapshot's idle fast-forward speedup to the
@@ -212,48 +162,8 @@ func compareSim(rep *Report, o, n *ScenarioResult) {
 	}
 }
 
-// compareHost gates the noisy host metrics statistically.
-func compareHost(rep *Report, o, n *ScenarioResult, opt CompareOptions) {
-	for _, m := range []struct {
-		name     string
-		old, new []float64
-	}{
-		{"wall_ns", o.Host.WallNS, n.Host.WallNS},
-		{"allocs", o.Host.Allocs, n.Host.Allocs},
-		{"alloc_bytes", o.Host.AllocBytes, n.Host.AllocBytes},
-	} {
-		if len(m.old) == 0 || len(m.new) == 0 {
-			continue
-		}
-		oldMean, oldCI := MeanCI(m.old, opt.Confidence)
-		newMean, newCI := MeanCI(m.new, opt.Confidence)
-		_, _, p := WelchT(m.old, m.new)
-		d := Delta{
-			Scenario: o.Name, Metric: m.name, Kind: "host",
-			Old: oldMean, New: newMean, OldCI: oldCI, NewCI: newCI,
-			Frac: frac(oldMean, newMean), P: p,
-		}
-		testable := len(m.old) >= 2 && len(m.new) >= 2
-		regressed := d.Frac > opt.HostThreshold
-		switch {
-		case regressed && (!testable || p < opt.Alpha):
-			d.Note = fmt.Sprintf("REGRESSION %+.1f%% > +%.0f%% (p=%.3f)", 100*d.Frac, 100*opt.HostThreshold, p)
-			rep.fail(d)
-		case regressed:
-			d.OK = true
-			d.Note = fmt.Sprintf("~ %+.1f%% but not significant (p=%.3f)", 100*d.Frac, p)
-			rep.Deltas = append(rep.Deltas, d)
-		default:
-			d.OK = true
-			d.Note = fmt.Sprintf("~ %+.1f%% (p=%.3f)", 100*d.Frac, p)
-			rep.Deltas = append(rep.Deltas, d)
-		}
-	}
-}
-
 // compareBenches gates the allocation benchmarks: allocs/op must not grow.
-// Unlike the noisy host wall clock, allocs/op is deterministic for these
-// steady-state loops, so the gate is exact — any increase fails, on any
+// Unlike wall clock, allocs/op is deterministic for these steady-state loops, so the gate is exact — any increase fails, on any
 // machine. Benchmarks absent from the old snapshot (recorded by an older
 // schema) are informational only.
 func compareBenches(rep *Report, oldB, newB []BenchResult) {
@@ -306,7 +216,7 @@ func frac(old, new float64) float64 {
 	return (new - old) / old
 }
 
-// String renders the verdict table: every host row, every failing or
+// String renders the verdict table: every bench row, every failing or
 // informational sim row, and a per-scenario summary of the exact-equality
 // checks (printing hundreds of identical sim rows would bury the signal).
 func (r *Report) String() string {
@@ -318,17 +228,12 @@ func (r *Report) String() string {
 			simOK[d.Scenario]++
 			continue
 		}
-		old, new := fmt.Sprintf("%.0f", d.Old), fmt.Sprintf("%.0f", d.New)
-		if d.Kind == "host" {
-			old = fmt.Sprintf("%.3g ±%.2g", d.Old, d.OldCI)
-			new = fmt.Sprintf("%.3g ±%.2g", d.New, d.NewCI)
-		}
 		verdict := "ok"
 		if !d.OK {
 			verdict = "FAIL"
 		}
 		fmt.Fprintf(&b, "%-26s %-28s %14s %14s %+9.2f%%  %s: %s\n",
-			d.Scenario, d.Metric, old, new, 100*d.Frac, verdict, d.Note)
+			d.Scenario, d.Metric, fmt.Sprintf("%.0f", d.Old), fmt.Sprintf("%.0f", d.New), 100*d.Frac, verdict, d.Note)
 	}
 	scenarios := make([]string, 0, len(simOK))
 	for s := range simOK {

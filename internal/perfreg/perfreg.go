@@ -1,25 +1,20 @@
-// Package perfreg is the repository's performance-regression harness: it
-// runs the canonical scenarios a fixed number of times, records both the
-// deterministic simulation metrics (instruction-cost totals per role ×
-// feature × category, scheduler rounds, packet counts) and the host-side
-// metrics (wall-clock time, allocations), persists them as schema-versioned
-// BENCH snapshots, and compares two snapshots into a pass/fail verdict —
-// sim metrics gate at exact equality, host metrics at a statistical
-// threshold (see compare.go).
+// Package perfreg is the repository's behaviour gate: it runs the
+// canonical scenarios, records their deterministic simulation metrics
+// (instruction-cost totals per role × feature × category, scheduler rounds,
+// packet counts, flit stats, timeline and alert digests) and the
+// allocation benchmarks, persists them as schema-versioned BENCH
+// snapshots, and compares two snapshots into a pass/fail verdict (see
+// compare.go): sim metrics gate at exact equality, allocs/op at
+// no-regression, and the idle fast-forward speedup as a ratio within one
+// snapshot.
 //
-// The paper measures *where the time goes*; perfreg makes sure it keeps
-// going to the same places: any PR that drifts an instruction count fails
-// the exact-equality gate, and any PR that slows the harness beyond the
-// noise fails the host gate.
+// The paper measures *where the time goes* in simulated instructions;
+// perfreg makes sure it keeps going to the same places: any PR that drifts
+// an instruction count fails the exact-equality gate. Host wall time is
+// not recorded here; the perfbench module measures it.
 //
 // Record must not run concurrently with other experiment runs (it installs
 // the experiments package's global observer while collecting sim metrics).
-// Within a Record call the timed repetitions of each scenario may fan
-// across a worker pool (RecordConfig.Parallel); the observed sim-metric run
-// always stays serial, and snapshots recorded at different worker counts
-// gate their host metrics only against snapshots recorded at the same
-// count, because parallel repetitions time scheduler contention along with
-// the work.
 package perfreg
 
 import (
@@ -27,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"msglayer/internal/cost"
 	"msglayer/internal/experiments"
@@ -36,7 +30,6 @@ import (
 	"msglayer/internal/obs"
 	"msglayer/internal/obs/monitor"
 	"msglayer/internal/obs/timeline"
-	"msglayer/internal/parsweep"
 	"msglayer/internal/report"
 	"msglayer/internal/topology"
 	"msglayer/internal/twin"
@@ -76,7 +69,16 @@ const NetloadScenario = "netload-fattree-load100"
 // stored as permyriad integers so the exact-equality gate applies.
 const TwinScenario = "twin-calibration"
 
-// Snapshot is one recorded BENCH_PR<k>.json document.
+// Recording sizes: the protocol transfer size and the flit-level
+// measurement length. Every committed snapshot was recorded at these.
+const (
+	recordWords         = 64
+	recordNetloadCycles = 1000
+)
+
+// Snapshot is one recorded BENCH_PR<k>.json document. Fields older
+// snapshots carry that this build no longer reads (the host samples, reps
+// and parallel count) are ignored on load.
 type Snapshot struct {
 	Schema    int    `json:"schema"`
 	Label     string `json:"label"`
@@ -84,17 +86,10 @@ type Snapshot struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// Reps is the number of timed repetitions behind every host sample
-	// vector.
-	Reps int `json:"reps"`
 	// Words is the transfer size the protocol scenarios ran with.
 	Words int `json:"words"`
 	// NetloadCycles is the measurement length of the flit-level point.
 	NetloadCycles int `json:"netload_cycles"`
-	// Parallel is the worker count the timed repetitions ran under; host
-	// metrics only gate between snapshots recorded at the same count.
-	// Absent (schema 1) means serial.
-	Parallel int `json:"parallel,omitempty"`
 	// MaxProcs is the GOMAXPROCS the snapshot was recorded under: a
 	// provenance stamp, read by no gate. Absent (schema < 5) means
 	// unknown.
@@ -105,73 +100,32 @@ type Snapshot struct {
 	Benches []BenchResult `json:"benches,omitempty"`
 }
 
-// parallelism normalizes the recorded worker count; snapshots from before
-// the field existed were recorded serially.
-func (s *Snapshot) parallelism() int {
-	if s.Parallel < 1 {
-		return 1
-	}
-	return s.Parallel
-}
-
 // ScenarioResult is one scenario's recorded metrics.
 type ScenarioResult struct {
 	Name string `json:"name"`
 	// Sim holds the deterministic simulation metrics; identical code and
 	// inputs must reproduce them bit-for-bit.
 	Sim map[string]uint64 `json:"sim"`
-	// Host holds the per-repetition host-side samples; they vary run to
-	// run and are compared statistically.
-	Host HostSamples `json:"host"`
 }
 
-// HostSamples are per-repetition host measurements, one entry per rep.
-type HostSamples struct {
-	WallNS     []float64 `json:"wall_ns"`
-	Allocs     []float64 `json:"allocs"`
-	AllocBytes []float64 `json:"alloc_bytes"`
-}
-
-// RecordConfig parameterizes Record. Zero values select the defaults.
+// RecordConfig parameterizes Record.
 type RecordConfig struct {
 	// Label names the snapshot (e.g. "PR2").
 	Label string
-	// Reps is the number of timed repetitions per scenario (default 5).
-	Reps int
-	// Words is the protocol transfer size (default 64).
-	Words int
-	// NetloadCycles is the flit-level measurement length (default 1000).
-	NetloadCycles int
-	// Parallel is the worker count for the timed repetitions (values below
-	// 1 select GOMAXPROCS; 1 is the serial recording older snapshots used).
-	Parallel int
-	// SkipBenches omits the allocation benchmarks, which cost a couple of
-	// wall-clock seconds per recording.
+	// SkipBenches omits the allocation benchmarks, which cost about a
+	// wall-clock second each.
 	SkipBenches bool
 	// Timestamp, when non-empty, is stored as CreatedAt.
 	Timestamp string
 }
 
-func (c *RecordConfig) defaults() {
-	if c.Reps <= 0 {
-		c.Reps = 5
-	}
-	if c.Words <= 0 {
-		c.Words = 64
-	}
-	if c.NetloadCycles <= 0 {
-		c.NetloadCycles = 1000
-	}
-}
-
 // Record runs every canonical scenario and returns the populated snapshot.
-// Each scenario runs once under an observability hub to collect the sim
-// metrics, then Reps more times unobserved for the host timing samples; the
-// instruction cells of every repetition are checked against the first run,
-// so nondeterminism is caught at record time rather than at the gate.
+// Each protocol scenario runs once under an observability hub to collect
+// the sim metrics and once more unobserved, and the flit-level point runs
+// bare and observed; each pair must agree, so observation that perturbs the
+// simulation, or a nondeterministic scenario, is caught at record time
+// rather than at the gate.
 func Record(cfg RecordConfig) (*Snapshot, error) {
-	cfg.defaults()
-	workers := parsweep.Workers(cfg.Parallel)
 	snap := &Snapshot{
 		Schema:        SchemaVersion,
 		Label:         cfg.Label,
@@ -179,25 +133,23 @@ func Record(cfg RecordConfig) (*Snapshot, error) {
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,
-		Reps:          cfg.Reps,
-		Words:         cfg.Words,
-		NetloadCycles: cfg.NetloadCycles,
-		Parallel:      workers,
+		Words:         recordWords,
+		NetloadCycles: recordNetloadCycles,
 		MaxProcs:      runtime.GOMAXPROCS(0),
 	}
 	for _, name := range experiments.CanonicalScenarios() {
-		res, err := recordProtocolScenario(name, cfg.Words, cfg.Reps, workers)
+		res, err := recordProtocolScenario(name)
 		if err != nil {
 			return nil, fmt.Errorf("perfreg: %s: %w", name, err)
 		}
 		snap.Scenarios = append(snap.Scenarios, *res)
 	}
-	res, err := recordNetloadScenario(cfg.NetloadCycles, cfg.Reps, workers)
+	res, err := recordNetloadScenario()
 	if err != nil {
 		return nil, fmt.Errorf("perfreg: %s: %w", NetloadScenario, err)
 	}
 	snap.Scenarios = append(snap.Scenarios, *res)
-	res, err = recordTwinScenario(workers)
+	res, err = recordTwinScenario()
 	if err != nil {
 		return nil, fmt.Errorf("perfreg: %s: %w", TwinScenario, err)
 	}
@@ -218,16 +170,15 @@ const (
 )
 
 // recordProtocolScenario records one canonical protocol scenario.
-func recordProtocolScenario(name string, words, reps, workers int) (*ScenarioResult, error) {
-	// Observed run: sim metrics, excluded from timing. Always serial — it
-	// mutates the experiments package's global observer. A timeline sampler
-	// rides the hub's round clock so the snapshot pins not just the totals
-	// but their distribution over simulated time.
+func recordProtocolScenario(name string) (*ScenarioResult, error) {
+	// Observed run: sim metrics. A timeline sampler rides the hub's round
+	// clock so the snapshot pins not just the totals but their distribution
+	// over simulated time.
 	hub := obs.NewHub()
 	sampler := timeline.New(hub.Metrics, timeline.Config{Interval: protoTimelineInterval})
 	hub.SetTickListener(sampler.Advance)
 	experiments.SetObserver(hub)
-	cells, err := experiments.RunCanonical(name, words)
+	cells, err := experiments.RunCanonical(name, recordWords)
 	experiments.SetObserver(nil)
 	if err != nil {
 		return nil, err
@@ -253,70 +204,16 @@ func recordProtocolScenario(name string, words, reps, workers int) (*ScenarioRes
 	sim["timeline/digest"] = tl.DigestValue
 	sim["timeline/windows"] = uint64(len(tl.Windows))
 
-	res := &ScenarioResult{Name: name, Sim: sim}
-	err = timedReps(&res.Host, reps, workers, func(rep int) error {
-		again, err := experiments.RunCanonical(name, words)
-		if err != nil {
-			return err
-		}
-		if !cellsEqual(cells, again) {
-			return fmt.Errorf("rep %d produced different instruction cells — scenario is nondeterministic", rep+1)
-		}
-		return nil
-	})
+	// Unobserved rerun: observation must not change the instruction cells,
+	// and neither may anything else between two runs.
+	again, err := experiments.RunCanonical(name, recordWords)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-// timedReps collects reps wall-clock and allocation samples of fn. Serially
-// every repetition measures its own runtime.MemStats delta, exactly like
-// the loop this generalizes. With workers > 1 the repetitions fan across a
-// pool: wall clock stays per-repetition (and includes scheduler
-// contention), but MemStats is process-global, so the allocation samples
-// become the whole fan's delta averaged per repetition — the mean the gate
-// compares is unchanged; only the per-rep variance is lost.
-func timedReps(host *HostSamples, reps, workers int, fn func(rep int) error) error {
-	if workers <= 1 {
-		for rep := 0; rep < reps; rep++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			if err := fn(rep); err != nil {
-				return err
-			}
-			wall := time.Since(start)
-			runtime.ReadMemStats(&after)
-			host.WallNS = append(host.WallNS, float64(wall.Nanoseconds()))
-			host.Allocs = append(host.Allocs, float64(after.Mallocs-before.Mallocs))
-			host.AllocBytes = append(host.AllocBytes, float64(after.TotalAlloc-before.TotalAlloc))
-		}
-		return nil
+	if !cellsEqual(cells, again) {
+		return nil, fmt.Errorf("unobserved rerun produced different instruction cells — scenario is nondeterministic")
 	}
-	wall := make([]float64, reps)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := parsweep.Run(workers, reps, func(rep int) error {
-		start := time.Now()
-		if err := fn(rep); err != nil {
-			return err
-		}
-		wall[rep] = float64(time.Since(start).Nanoseconds())
-		return nil
-	})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return err
-	}
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(reps)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(reps)
-	for rep := 0; rep < reps; rep++ {
-		host.WallNS = append(host.WallNS, wall[rep])
-		host.Allocs = append(host.Allocs, allocs)
-		host.AllocBytes = append(host.AllocBytes, bytes)
-	}
-	return nil
+	return &ScenarioResult{Name: name, Sim: sim}, nil
 }
 
 // simFromCells flattens a role × feature × category breakdown into the
@@ -375,17 +272,15 @@ func featureSlug(f cost.Feature) string {
 // recordNetloadScenario records the flit-level sweep point: a 4-ary 2-level
 // fat tree under uniform traffic at offered load 0.1, for all three routing
 // modes. The flit simulator is seeded, so its stats are deterministic.
-func recordNetloadScenario(cycles, reps, workers int) (*ScenarioResult, error) {
-	stats, err := runNetloadPoint(cycles, false)
+func recordNetloadScenario() (*ScenarioResult, error) {
+	stats, err := runNetloadPoint(recordNetloadCycles, false)
 	if err != nil {
 		return nil, err
 	}
 	// Observed pass: the same point under a hub with a timeline sampler on
 	// the cycle clock. Observation must not change the flit stats, and the
-	// per-mode timeline digests join the exact-equality gate. The timed
-	// repetitions below stay unobserved so the host samples keep measuring
-	// the bare simulator.
-	observed, err := runNetloadPoint(cycles, true)
+	// per-mode timeline digests join the exact-equality gate.
+	observed, err := runNetloadPoint(recordNetloadCycles, true)
 	if err != nil {
 		return nil, err
 	}
@@ -394,32 +289,17 @@ func recordNetloadScenario(cycles, reps, workers int) (*ScenarioResult, error) {
 			return nil, fmt.Errorf("observation drifted %s: %d observed, %d bare", k, observed[k], v)
 		}
 	}
-	res := &ScenarioResult{Name: NetloadScenario, Sim: observed}
-	err = timedReps(&res.Host, reps, workers, func(rep int) error {
-		again, err := runNetloadPoint(cycles, false)
-		if err != nil {
-			return err
-		}
-		if !mapsEqual(stats, again) {
-			return fmt.Errorf("rep %d produced different flit stats — sweep point is nondeterministic", rep+1)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &ScenarioResult{Name: NetloadScenario, Sim: observed}, nil
 }
 
 // recordTwinScenario runs the analytic twin's full calibration sweep and
 // flattens the accuracy aggregates into sim keys. The sweep is
 // deterministic, so the permyriad MAPE and Pearson values gate under exact
 // equality; record itself refuses a sweep that misses the accuracy floors.
-// The twin's evaluation is closed form, so there is no meaningful host
-// timing to sample — Host stays empty, and empty sample sets are skipped
-// by the statistical gate.
-func recordTwinScenario(workers int) (*ScenarioResult, error) {
-	rep, err := twin.Calibrate(twin.Options{Parallel: workers})
+// The sweep fans across GOMAXPROCS workers; its report is byte-identical at
+// any worker count.
+func recordTwinScenario() (*ScenarioResult, error) {
+	rep, err := twin.Calibrate(twin.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -550,19 +430,6 @@ func runNetloadPoint(cycles int, observe bool) (map[string]uint64, error) {
 		out[prefix+"latency_max"] = st.LatencyMax
 	}
 	return out, nil
-}
-
-// mapsEqual compares two flat metric maps.
-func mapsEqual(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteFile persists the snapshot as indented JSON.

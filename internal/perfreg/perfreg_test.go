@@ -1,37 +1,38 @@
 package perfreg
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// tinyConfig keeps recording fast in tests: few reps, small transfers, and
-// no allocation benchmarks (those get their own smoke test). Parallel is
-// left at the GOMAXPROCS default so the suite exercises the fanned path.
-func tinyConfig() RecordConfig {
-	return RecordConfig{Label: "test", Reps: 2, Words: 16, NetloadCycles: 100, SkipBenches: true}
-}
-
-// record is a cached tiny snapshot so the suite pays for one recording.
-var recorded *Snapshot
+// recorded is one snapshot shared by the suite: a recording without the
+// allocation benchmarks (those get their own smoke test) at the default
+// sizes every committed snapshot uses.
+var recorded = sync.OnceValues(func() (*Snapshot, error) {
+	return Record(RecordConfig{Label: "test", SkipBenches: true})
+})
 
 func recordOnce(t *testing.T) *Snapshot {
 	t.Helper()
-	if recorded == nil {
-		s, err := Record(tinyConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		recorded = s
+	s, err := recorded()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return recorded
+	return s
 }
 
 func TestPerfregRecordShape(t *testing.T) {
 	s := recordOnce(t)
 	if s.Schema != SchemaVersion {
 		t.Fatalf("schema = %d, want %d", s.Schema, SchemaVersion)
+	}
+	if s.Words != 64 || s.NetloadCycles != 1000 {
+		t.Fatalf("recorded at words %d, netload cycles %d; want 64 and 1000", s.Words, s.NetloadCycles)
 	}
 	if len(s.Scenarios) != 7 {
 		t.Fatalf("got %d scenarios, want 7", len(s.Scenarios))
@@ -42,19 +43,11 @@ func TestPerfregRecordShape(t *testing.T) {
 		}
 		if sc.Name == TwinScenario {
 			// The twin scenario carries only the calibration accuracy
-			// aggregates: no host samples (evaluation is closed form) and
-			// no instruction totals.
-			if len(sc.Host.WallNS) != 0 {
-				t.Errorf("%s: unexpected host samples", sc.Name)
-			}
+			// aggregates, no instruction totals.
 			if sc.Sim["twin_net_points"] == 0 || sc.Sim["twin_proto_points"] == 0 {
 				t.Errorf("%s: point counts missing: %v", sc.Name, sc.Sim)
 			}
 			continue
-		}
-		if len(sc.Host.WallNS) != 2 || len(sc.Host.Allocs) != 2 || len(sc.Host.AllocBytes) != 2 {
-			t.Errorf("%s: host samples %d/%d/%d, want 2 each",
-				sc.Name, len(sc.Host.WallNS), len(sc.Host.Allocs), len(sc.Host.AllocBytes))
 		}
 		if sc.Name != NetloadScenario {
 			if sc.Sim["instr/total"] == 0 {
@@ -87,7 +80,7 @@ func TestPerfregRoundTripAndIdenticalCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Compare(s, loaded, CompareOptions{})
+	rep, err := Compare(s, loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +115,7 @@ func TestPerfregSimDriftFails(t *testing.T) {
 	// Inject a +20% instruction-cost regression into one scenario.
 	sim := bad.Scenarios[1].Sim
 	sim["instr/total"] = sim["instr/total"] * 12 / 10
-	rep, err := Compare(s, bad, CompareOptions{})
+	rep, err := Compare(s, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +132,7 @@ func TestPerfregMissingMetricAndScenarioFail(t *testing.T) {
 	bad := clone(t, s)
 	delete(bad.Scenarios[0].Sim, "instr/total")
 	bad.Scenarios = bad.Scenarios[:len(bad.Scenarios)-1]
-	rep, err := Compare(s, bad, CompareOptions{})
+	rep, err := Compare(s, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,68 +141,12 @@ func TestPerfregMissingMetricAndScenarioFail(t *testing.T) {
 	}
 }
 
-func TestPerfregHostGate(t *testing.T) {
-	s := recordOnce(t)
-
-	// A clear, consistent +50% wall regression must fail...
-	slow := clone(t, s)
-	for i := range slow.Scenarios {
-		slow.Scenarios[i].Host.WallNS = []float64{1500, 1501, 1502, 1499, 1498}
-	}
-	base := clone(t, s)
-	for i := range base.Scenarios {
-		base.Scenarios[i].Host.WallNS = []float64{1000, 1001, 1002, 999, 998}
-	}
-	rep, err := Compare(base, slow, CompareOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Pass {
-		t.Fatalf("+50%% host regression passed:\n%s", rep)
-	}
-
-	// ...unless the gate runs sim-only (the CI mode)...
-	rep, err = Compare(base, slow, CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("sim-only compare failed on host noise:\n%s", rep)
-	}
-
-	// ...or the threshold allows it.
-	rep, err = Compare(base, slow, CompareOptions{HostThreshold: 0.60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("+50%% regression failed a +60%% threshold:\n%s", rep)
-	}
-}
-
 func TestPerfregIncomparableSnapshots(t *testing.T) {
 	s := recordOnce(t)
 	other := clone(t, s)
 	other.Words = s.Words + 1
-	if _, err := Compare(s, other, CompareOptions{}); err == nil {
+	if _, err := Compare(s, other); err == nil {
 		t.Fatal("snapshots with different words compared without error")
-	}
-}
-
-func TestPerfregSerialRecordingMatchesParallel(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Parallel = 1
-	serial, err := Record(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := recordOnce(t)
-	rep, err := Compare(serial, s, CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("parallel recording drifted from serial sim metrics:\n%s", rep)
 	}
 }
 
@@ -221,7 +158,7 @@ func TestPerfregBenchGate(t *testing.T) {
 	// Slower but allocation-free: ns/op is not gated.
 	slower := clone(t, s)
 	slower.Benches = []BenchResult{{Name: "flitnet-tick-steady", NsPerOp: 5000, AllocsPerOp: 0}}
-	rep, err := Compare(old, slower, CompareOptions{})
+	rep, err := Compare(old, slower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +169,7 @@ func TestPerfregBenchGate(t *testing.T) {
 	// One new allocation per op: fails, on any machine.
 	leaky := clone(t, s)
 	leaky.Benches = []BenchResult{{Name: "flitnet-tick-steady", NsPerOp: 900, AllocsPerOp: 1}}
-	rep, err = Compare(old, leaky, CompareOptions{})
+	rep, err = Compare(old, leaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +182,7 @@ func TestPerfregBenchGate(t *testing.T) {
 
 	// A bench the old snapshot tracked must not silently disappear.
 	gone := clone(t, s)
-	rep, err = Compare(old, gone, CompareOptions{})
+	rep, err = Compare(old, gone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,36 +191,12 @@ func TestPerfregBenchGate(t *testing.T) {
 	}
 
 	// Benches absent from the old snapshot (schema 1) are informational.
-	rep, err = Compare(gone, slower, CompareOptions{})
+	rep, err = Compare(gone, slower)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Pass {
 		t.Fatalf("new bench failed against a bench-less baseline:\n%s", rep)
-	}
-}
-
-func TestPerfregParallelMismatchSkipsHostGate(t *testing.T) {
-	s := recordOnce(t)
-	base := clone(t, s)
-	base.Parallel = 1
-	for i := range base.Scenarios {
-		base.Scenarios[i].Host.WallNS = []float64{1000, 1001, 1002, 999, 998}
-	}
-	slow := clone(t, s)
-	slow.Parallel = 4
-	for i := range slow.Scenarios {
-		slow.Scenarios[i].Host.WallNS = []float64{1500, 1501, 1502, 1499, 1498}
-	}
-	rep, err := Compare(base, slow, CompareOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("host gate fired across different recording parallelism:\n%s", rep)
-	}
-	if !strings.Contains(rep.String(), "host metrics not gated") {
-		t.Fatalf("report does not explain the skipped host gate:\n%s", rep)
 	}
 }
 
@@ -322,7 +235,7 @@ func TestPerfregIdleSpeedupGate(t *testing.T) {
 		{Name: BenchTickIdle, NsPerOp: 10},
 		{Name: BenchTickIdleDense, NsPerOp: 1000},
 	}
-	rep, err := Compare(old, healthy, CompareOptions{SimOnly: true})
+	rep, err := Compare(old, healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +251,7 @@ func TestPerfregIdleSpeedupGate(t *testing.T) {
 		{Name: BenchTickIdle, NsPerOp: 500},
 		{Name: BenchTickIdleDense, NsPerOp: 1000},
 	}
-	rep, err = Compare(old, collapsed, CompareOptions{SimOnly: true})
+	rep, err = Compare(old, collapsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +260,7 @@ func TestPerfregIdleSpeedupGate(t *testing.T) {
 	}
 
 	// No idle benches recorded (pre-schema-3 snapshot): nothing to gate.
-	rep, err = Compare(old, clone(t, old), CompareOptions{SimOnly: true})
+	rep, err = Compare(old, clone(t, old))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,22 +269,48 @@ func TestPerfregIdleSpeedupGate(t *testing.T) {
 	}
 }
 
+// TestPerfregSchema1Accepted loads a schema-1 snapshot that still carries
+// the host samples, rep count and parallel stamp older builds wrote: the
+// reader ignores those fields, and the sim metrics gate as usual.
 func TestPerfregSchema1Accepted(t *testing.T) {
 	s := recordOnce(t)
 	v1 := clone(t, s)
 	v1.Schema = 1
-	v1.Parallel = 0
 	v1.Benches = nil
+	data, err := json.Marshal(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Decode numbers as json.Number so 64-bit digests survive the edit.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["reps"], doc["parallel"] = 5, 1
+	for _, sc := range doc["scenarios"].([]any) {
+		sc.(map[string]any)["host"] = map[string]any{
+			"wall_ns": []float64{1000, 1001}, "allocs": []float64{7, 7}, "alloc_bytes": []float64{64, 64},
+		}
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "v1.json")
-	if err := v1.WriteFile(path); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadFile(path)
 	if err != nil {
 		t.Fatalf("schema-1 snapshot rejected: %v", err)
 	}
-	if loaded.parallelism() != 1 {
-		t.Fatalf("legacy snapshot parallelism = %d, want 1", loaded.parallelism())
+	rep, err := Compare(loaded, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Pass || rep.SimEqual != rep.SimChecked {
+		t.Fatalf("schema-1 snapshot with legacy host fields failed the gate:\n%s", rep)
 	}
 }
 
@@ -385,5 +324,42 @@ func TestPerfregSchemaRejected(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("unknown schema accepted")
+	}
+}
+
+// TestPerfregHistorySubsumedByNewest proves that gating only the newest
+// committed snapshot loses nothing: every history snapshot passes against
+// BENCH_PR10.json with each of its sim keys checked and exactly equal, and
+// no bench at a higher allocs/op. A fresh recording equal to BENCH_PR10 on
+// BENCH_PR10's keys is therefore equal to every history file on its keys.
+func TestPerfregHistorySubsumedByNewest(t *testing.T) {
+	newest, err := ReadFile("../../BENCH_PR10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob("../../bench/history/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no history snapshots under bench/history")
+	}
+	for _, path := range paths {
+		hist, err := ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := 0
+		for _, sc := range hist.Scenarios {
+			keys += len(sc.Sim)
+		}
+		rep, err := Compare(hist, newest)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !rep.Pass || rep.SimChecked != keys || rep.SimEqual != keys {
+			t.Errorf("%s: %d/%d of %d sim keys equal, pass=%v:\n%s",
+				path, rep.SimEqual, rep.SimChecked, keys, rep.Pass, rep)
+		}
 	}
 }

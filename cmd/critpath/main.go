@@ -9,8 +9,7 @@
 // Every report is cross-checked before it is printed: the per-message
 // attribution must reconcile exactly with the aggregate metrics registry
 // (the counters the Table 1-3 reproduction is verified against), and the
-// output is byte-identical across -parallel worker counts and the dense vs
-// event-driven flit engines.
+// output is byte-identical across -parallel worker counts.
 //
 // Usage:
 //
@@ -21,7 +20,7 @@
 //	critpath -flow flow.json          # Chrome flow-arrow trace ("-" = stdout)
 //	critpath -flow-scenario cr-stream # which scenario the flow trace covers
 //	critpath -noflit                  # skip the flit-level grid
-//	critpath -parallel 8 -dense       # flit grid workers / dense reference engine
+//	critpath -parallel 8              # flit grid workers
 //	critpath -timeline-out tl.json    # windowed metrics timeline (.csv for CSV)
 package main
 
@@ -33,10 +32,10 @@ import (
 	"os"
 	"strings"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/critpath"
 	"msglayer/internal/experiments"
 	"msglayer/internal/flitnet"
-	"msglayer/internal/network"
 	"msglayer/internal/obs"
 	"msglayer/internal/obs/timeline"
 	"msglayer/internal/parsweep"
@@ -51,8 +50,16 @@ func main() {
 // flitLoads is the fixed offered-load grid of the flit section.
 var flitLoads = []float64{0.05, 0.2}
 
+// partial is the WarnDropped effect for a report built from a truncated
+// trace.
+const partial = "report is partial and skips reconciliation"
+
 // flitModes is the fixed routing-mode grid of the flit section.
 var flitModes = []flitnet.Mode{flitnet.Deterministic, flitnet.Adaptive, flitnet.CR}
+
+// denseEngine runs the flit section on the dense reference engine. It has
+// no flag: tests set it to hold the report to the engine contract.
+var denseEngine bool
 
 // run executes the tool; factored out of main for testing.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -66,10 +73,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noFlit := fs.Bool("noflit", false, "skip the flit-level transit grid")
 	cycles := fs.Int("cycles", 400, "cycles per flit-grid point")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the flit grid (0 = GOMAXPROCS, 1 = serial)")
-	dense := fs.Bool("dense", false, "use the dense reference flit engine (report is byte-identical)")
-	timelineOut := fs.String("timeline-out", "",
-		"run the selected protocol scenarios into one shared hub, sampling windowed metric deltas on the round clock, and write the timeline (\"-\" = stdout; a .csv suffix selects CSV, otherwise JSON)")
-	timelineInterval := fs.Int("timeline-interval", 16, "timeline window width in machine rounds")
+	o := cli.NewFlags(fs)
+	o.TimelineFlags("run the selected protocol scenarios into one shared hub, sampling windowed metric deltas on the round clock, and write the timeline",
+		16, "machine rounds")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "critpath: per-message critical-path latency attribution")
 		fs.PrintDefaults()
@@ -77,13 +83,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if err := o.Check(); err != nil {
+		fmt.Fprintln(stderr, "critpath:", err)
+		return 2
+	}
 	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
 		fmt.Fprintln(stderr, "critpath:", err)
 		return 1
-	}
-	if *timelineInterval < 1 {
-		fmt.Fprintln(stderr, "critpath: -timeline-interval must be >= 1")
-		return 2
 	}
 
 	scenarios := experiments.CanonicalScenarios()
@@ -108,11 +114,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// A trace that dropped events cannot reconcile against the
 		// registry; report it as partial instead of failing the run.
-		if d := h.Trace.Dropped(); d > 0 {
-			fmt.Fprintf(stderr, "critpath: warning: %s: trace dropped %d events; report is partial and skips reconciliation\n", name, d)
-		} else if err := critpath.Reconcile(h); err != nil {
-			fmt.Fprintf(stderr, "critpath: %s: reconciliation failed: %v\n", name, err)
-			return 1
+		if !cli.WarnDropped(stderr, "critpath: "+name, h, partial) {
+			if err := critpath.Reconcile(h); err != nil {
+				fmt.Fprintf(stderr, "critpath: %s: reconciliation failed: %v\n", name, err)
+				return 1
+			}
 		}
 		runs = append(runs, scenarioRun{name, h, critpath.Analyze(h.Trace.Events())})
 	}
@@ -122,9 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// are consumed in input order, making the report byte-identical at any
 	// worker count.
 	type flitPoint struct {
-		mode flitnet.Mode
-		load float64
-		hub  *obs.Hub
+		mode    flitnet.Mode
+		load    float64
+		hub     *obs.Hub
+		drained bool
 	}
 	var points []flitPoint
 	if !*noFlit {
@@ -132,11 +139,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		points = make([]flitPoint, len(flitModes)*len(flitLoads))
 		err := parsweep.Run(workers, len(points), func(i int) error {
 			mode, load := flitModes[i/len(flitLoads)], flitLoads[i%len(flitLoads)]
-			h, err := runFlitPoint(mode, load, *cycles, *dense)
+			h, drained, err := runFlitPoint(mode, load, *cycles)
 			if err != nil {
 				return err
 			}
-			points[i] = flitPoint{mode, load, h}
+			points[i] = flitPoint{mode, load, h, drained}
 			return nil
 		})
 		if err != nil {
@@ -144,8 +151,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		for _, p := range points {
-			if d := p.hub.Trace.Dropped(); d > 0 {
-				fmt.Fprintf(stderr, "critpath: warning: flit %s load %.2f: trace dropped %d events; report is partial and skips reconciliation\n", p.mode, p.load, d)
+			if !p.drained {
+				fmt.Fprintf(stderr, "critpath: warning: flit %s load %.2f did not drain within 200000 cycles; its report covers only the delivered worms\n", p.mode, p.load)
+			}
+			if cli.WarnDropped(stderr, fmt.Sprintf("critpath: flit %s load %.2f", p.mode, p.load), p.hub, partial) {
 				continue
 			}
 			if err := critpath.Reconcile(p.hub); err != nil {
@@ -158,19 +167,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The per-scenario hubs above are fresh per run (reconciliation demands
 	// it), so the timeline samples a separate pass: the same scenario
 	// sequence into one shared hub, windows closing on the round clock.
-	if *timelineOut != "" {
-		tl, err := runTimeline(scenarios, *words, uint64(*timelineInterval))
+	if o.TimelineOut != "" {
+		tl, err := runTimeline(scenarios, *words, uint64(o.TimelineInterval))
 		if err != nil {
 			fmt.Fprintln(stderr, "critpath:", err)
 			return 1
 		}
-		render := func(w io.Writer) error {
-			if strings.HasSuffix(*timelineOut, ".csv") {
-				return timeline.WriteCSV(w, tl)
-			}
-			return timeline.WriteJSON(w, tl)
-		}
-		if err := writeTo(*timelineOut, stdout, render); err != nil {
+		if err := cli.WriteTimeline(o.TimelineOut, stdout, tl); err != nil {
 			fmt.Fprintln(stderr, "critpath:", err)
 			return 1
 		}
@@ -187,7 +190,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "critpath: -flow-scenario %q was not run (add it to -scenarios)\n", *flowScenario)
 			return 1
 		}
-		if err := writeTo(*flowOut, stdout, func(w io.Writer) error {
+		if err := cli.WriteTo(*flowOut, stdout, func(w io.Writer) error {
 			return critpath.WriteChromeFlow(w, src.Trace.Events())
 		}); err != nil {
 			fmt.Fprintln(stderr, "critpath:", err)
@@ -268,93 +271,45 @@ func runScenario(name string, words int) (*obs.Hub, error) {
 	return h, nil
 }
 
-// runTimeline runs the scenario sequence into one shared hub with a
-// timeline sampler on the round clock and returns the reconciled timeline.
+// runTimeline runs the scenario sequence into one shared session hub with
+// a timeline sampler on the round clock and returns the reconciled
+// timeline.
 func runTimeline(scenarios []string, words int, interval uint64) (*timeline.Timeline, error) {
-	h := obs.NewHub()
-	sampler := timeline.New(h.Metrics, timeline.Config{Interval: interval})
-	h.SetTickListener(sampler.Advance)
-	experiments.SetObserver(h)
+	sess, err := cli.NewSession(cli.SessionConfig{Timeline: true, Interval: interval})
+	if err != nil {
+		return nil, err
+	}
+	experiments.SetObserver(sess.Hub)
 	defer experiments.SetObserver(nil)
 	for _, name := range scenarios {
 		if _, err := experiments.RunCanonical(name, words); err != nil {
 			return nil, fmt.Errorf("timeline: %s: %w", name, err)
 		}
 	}
-	// A scenario that never ticks the round clock (single-packet delivery)
-	// still closes one window holding all its deltas.
-	end := h.Round()
-	if end == 0 {
-		end = 1
-	}
-	sampler.Flush(end)
-	// Window deltas must sum exactly to the final registry totals.
-	if err := sampler.Reconcile(); err != nil {
-		return nil, fmt.Errorf("timeline reconciliation: %w", err)
-	}
-	return sampler.Snapshot(), nil
+	return sess.Finish()
 }
 
 // runFlitPoint runs one (mode, load) point of the transit grid on a fat
-// tree, with a FlitScope capturing every worm's lifetime into its own hub.
-func runFlitPoint(mode flitnet.Mode, load float64, cycles int, dense bool) (*obs.Hub, error) {
+// tree, with a FlitScope capturing every worm's lifetime into its own hub,
+// and reports whether the network drained.
+func runFlitPoint(mode flitnet.Mode, load float64, cycles int) (*obs.Hub, bool, error) {
 	topo, err := topology.NewFatTree(4, 2)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	net, err := flitnet.New(flitnet.Config{
 		Topology: topo, Mode: mode,
 		BufferFlits: 3, InjectQueue: 8,
-		DenseReference: dense,
+		DenseReference: denseEngine,
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	h := obs.NewHub()
 	net.SetFlitObserver(h.FlitScope())
-	nodes := net.Nodes()
-	gen, err := workload.NewGenerator(workload.Uniform{}, nodes, load, 1)
+	gen, err := workload.NewGenerator(workload.Uniform{}, net.Nodes(), load, 1)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	for c := 0; c < cycles; c++ {
-		for _, a := range gen.Cycle() {
-			// Backpressured injections are part of the measurement.
-			_ = net.Inject(network.Packet{
-				Src: a.Src, Dst: a.Dst,
-				Data: []network.Word{network.Word(c)},
-			})
-		}
-		net.Tick(1)
-	}
-	net.TickUntilQuiet(200000)
-	for node := 0; node < nodes; node++ {
-		for {
-			if _, ok := net.TryRecv(node); !ok {
-				break
-			}
-		}
-	}
-	return h, nil
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render removes
-// the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
+	return h, workload.Drive(net, gen, cycles), nil
 }

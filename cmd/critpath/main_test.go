@@ -34,7 +34,9 @@ func TestReportByteIdenticalAcrossWorkers(t *testing.T) {
 // contract: the dense reference and event-driven engines trace identically.
 func TestReportByteIdenticalAcrossEngines(t *testing.T) {
 	event := render(t, "-cycles", "200")
-	dense := render(t, "-cycles", "200", "-dense")
+	denseEngine = true
+	t.Cleanup(func() { denseEngine = false })
+	dense := render(t, "-cycles", "200")
 	if event != dense {
 		t.Fatal("report differs between event-driven and dense flit engines")
 	}

@@ -14,27 +14,21 @@
 //	msgbench -trace-out t.json  # dump a Chrome trace of the runs
 //	msgbench -critpath cp.txt # per-message critical-path attribution ("-" = stdout)
 //	msgbench -timeline-out tl.json  # windowed metrics timeline (.csv for CSV)
-//	msgbench -slo rules.yaml  # evaluate SLO rules live; exit 3 on violation
+//	msgbench -slo rules.json  # evaluate SLO rules live; exit 3 on violation
 //	msgbench -serve :8080     # live /metrics, /snapshot, /trace, /debug/pprof/
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"strings"
-	"time"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/critpath"
 	"msglayer/internal/experiments"
-	"msglayer/internal/obs"
 	"msglayer/internal/obs/monitor"
-	"msglayer/internal/obs/monitor/blame"
-	"msglayer/internal/obs/serve"
 	"msglayer/internal/obs/timeline"
 	"msglayer/internal/parsweep"
 )
@@ -76,90 +70,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"worker goroutines for the full experiment run (0 = GOMAXPROCS, 1 = serial; forced serial when an observer is attached)")
 	quiet := fs.Bool("quiet", false, "print only the comparison summary")
 	asJSON := fs.Bool("json", false, "print a machine-readable JSON summary instead of text")
-	metrics := fs.String("metrics", "", "dump runtime metrics to a file after the runs (\"-\" = stdout)")
-	traceOut := fs.String("trace-out", "", "dump a Chrome trace-event JSON of the runs (\"-\" = stdout)")
+	o := cli.NewFlags(fs)
+	o.MetricsFlag("runtime metrics after the runs")
+	o.TraceFlag(" of the runs")
 	critpathOut := fs.String("critpath", "",
 		"write a per-message critical-path attribution report of the runs (\"-\" = stdout)")
-	serveAddr := fs.String("serve", "",
-		"serve live observability on this address (/metrics, /snapshot, /trace, /debug/pprof/) and keep serving after the runs until interrupted")
-	timelineOut := fs.String("timeline-out", "",
-		"sample the runs' metrics into windowed deltas on the machine-round clock and write the timeline (\"-\" = stdout; a .csv suffix selects CSV, otherwise JSON)")
-	timelineInterval := fs.Int("timeline-interval", 100, "timeline window width in machine rounds")
-	sloRulesPath := fs.String("slo", "",
-		"evaluate SLO rules (JSON/YAML file, or \"canonical\") live against the runs' windowed metrics and exit 3 if any alert fired")
-	sloOut := fs.String("slo-out", "-",
-		"SLO alert report destination (\"-\" = stdout; .json/.csv suffixes select the format, otherwise text)")
+	o.ServeFlag("and keep serving after the runs until interrupted")
+	o.TimelineFlags("sample the runs' metrics into windowed deltas on the machine-round clock and write the timeline",
+		100, "machine rounds")
+	o.SLOFlags("live against the runs' windowed metrics")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := o.Check(); err != nil {
+		fmt.Fprintln(stderr, "msgbench:", err)
 		return 2
 	}
 	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
 		fmt.Fprintln(stderr, "msgbench:", err)
 		return 1
 	}
-	if *timelineInterval < 1 {
-		fmt.Fprintln(stderr, "msgbench: -timeline-interval must be >= 1")
+	rules, err := o.Rules()
+	if err != nil {
+		fmt.Fprintln(stderr, "msgbench:", err)
 		return 1
 	}
-	var rules *monitor.RuleSet
-	if *sloRulesPath != "" {
-		var err error
-		if rules, err = monitor.LoadRules(*sloRulesPath); err != nil {
+	// The session's sampler rides the hub's round clock: every machine.Run
+	// round ticks the hub, and windows close as the shared round counter
+	// crosses interval boundaries across all experiments. The SLO monitor
+	// evaluates each window live as it closes.
+	var sess *cli.Session
+	if o.Metrics != "" || o.TraceOut != "" || *critpathOut != "" || o.Serve != "" || o.TimelineOut != "" || rules != nil {
+		sess, err = cli.NewSession(cli.SessionConfig{
+			Timeline: o.TimelineOut != "",
+			Interval: uint64(o.TimelineInterval),
+			Rules:    rules,
+		})
+		if err != nil {
 			fmt.Fprintln(stderr, "msgbench:", err)
 			return 1
 		}
-	}
-	var hub *obs.Hub
-	if *metrics != "" || *traceOut != "" || *critpathOut != "" || *serveAddr != "" || *timelineOut != "" || rules != nil {
-		hub = obs.NewHub()
-		experiments.SetObserver(hub)
+		experiments.SetObserver(sess.Hub)
 		defer experiments.SetObserver(nil)
 	}
-	// The timeline sampler rides the hub's round clock: every machine.Run
-	// round ticks the hub, and the sampler closes windows as the shared
-	// round counter crosses interval boundaries across all experiments.
-	var sampler *timeline.Sampler
-	if *timelineOut != "" || rules != nil {
-		sampler = timeline.New(hub.Metrics, timeline.Config{Interval: uint64(*timelineInterval)})
-		hub.SetTickListener(sampler.Advance)
-	}
-	// The SLO monitor evaluates windows live as the sampler closes them —
-	// the same code path the recorded-timeline replay takes, so reports are
-	// byte-identical either way.
-	var mon *monitor.Monitor
-	if rules != nil {
-		var err error
-		if mon, err = monitor.New(rules); err != nil {
+	var srv *cli.Server
+	if sess != nil {
+		if srv, err = cli.Serve("msgbench", o.Serve, sess.Hub, sess.Sampler, sess.Monitor, stderr); err != nil {
 			fmt.Fprintln(stderr, "msgbench:", err)
 			return 1
 		}
-		mon.SetBlamer(blame.Compute)
-		mon.Attach(sampler)
-	}
-	ctx := context.Background()
-	var srv *serve.Server
-	if *serveAddr != "" {
-		srv = serve.New(hub)
-		srv.SetTimeline(sampler)
-		srv.SetMonitor(mon)
-		if err := srv.Start(*serveAddr); err != nil {
-			fmt.Fprintln(stderr, "msgbench:", err)
-			return 1
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = signal.NotifyContext(ctx, os.Interrupt)
-		defer cancel()
-		defer func() {
-			sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer scancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				fmt.Fprintln(stderr, "msgbench: shutdown:", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "msgbench: observability on http://%s (SIGINT to stop)\n", srv.Addr())
+		defer srv.Close()
 	}
 
 	var results []experiments.Result
-	var err error
 	// The experiments mutate the hub through the global observer, so with
 	// -serve they run under the server's lock, serialized vs the handlers.
 	runAll := func() {
@@ -185,29 +148,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			results, err = experiments.AllWith(*parallel)
 		}
 	}
-	if srv != nil {
-		srv.Sync(runAll)
-	} else {
-		runAll()
-	}
+	srv.Sync(runAll)
 	if err != nil {
 		fmt.Fprintln(stderr, "msgbench:", err)
 		return 1
 	}
-	if sampler != nil {
-		var recErr error
-		finish := func() {
-			sampler.Flush(hub.Round())
-			// Window deltas must sum exactly to the final registry totals.
-			recErr = sampler.Reconcile()
-		}
-		if srv != nil {
-			srv.Sync(finish)
-		} else {
-			finish()
-		}
-		if recErr != nil {
-			fmt.Fprintln(stderr, "msgbench: timeline reconciliation:", recErr)
+	var tl *timeline.Timeline
+	var rep *monitor.Report
+	if sess != nil {
+		srv.Sync(func() {
+			if tl, err = sess.Finish(); err == nil && sess.Monitor != nil {
+				rep = sess.Monitor.Snapshot("msgbench")
+			}
+		})
+		if err != nil {
+			fmt.Fprintln(stderr, "msgbench:", err)
 			return 1
 		}
 	}
@@ -257,15 +212,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if hub != nil {
-		if *metrics != "" {
-			if err := writeTo(*metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
+	if sess != nil {
+		hub := sess.Hub
+		if o.Metrics != "" {
+			if err := cli.WriteTo(o.Metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
 		}
-		if *traceOut != "" {
-			if err := writeTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
+		if o.TraceOut != "" {
+			if err := cli.WriteTo(o.TraceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
@@ -274,68 +230,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 			render := func(w io.Writer) error {
 				return critpath.WriteText(w, critpath.Analyze(hub.Trace.Events()))
 			}
-			if err := writeTo(*critpathOut, stdout, render); err != nil {
+			if err := cli.WriteTo(*critpathOut, stdout, render); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
 		}
-		if sampler != nil && *timelineOut != "" {
-			var tl *timeline.Timeline
-			snap := func() { tl = sampler.Snapshot() }
-			if srv != nil {
-				srv.Sync(snap)
-			} else {
-				snap()
-			}
-			render := func(w io.Writer) error {
-				if strings.HasSuffix(*timelineOut, ".csv") {
-					return timeline.WriteCSV(w, tl)
-				}
-				return timeline.WriteJSON(w, tl)
-			}
-			if err := writeTo(*timelineOut, stdout, render); err != nil {
+		if o.TimelineOut != "" {
+			if err := cli.WriteTimeline(o.TimelineOut, stdout, tl); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
 		}
-		if d := hub.Trace.Dropped(); d > 0 {
-			fmt.Fprintf(stderr, "msgbench: warning: trace dropped %d events; exported traces are truncated\n", d)
-		}
+		cli.WarnDropped(stderr, "msgbench", hub, cli.Truncated)
 	}
 
 	// The SLO report is written before any violation exit so the artifact
 	// always exists; a paper mismatch still takes exit-code precedence.
 	sloViolated := false
-	if mon != nil {
-		var rep *monitor.Report
-		snap := func() { rep = mon.Snapshot("msgbench") }
-		if srv != nil {
-			srv.Sync(snap)
-		} else {
-			snap()
-		}
+	if rep != nil {
 		sloViolated = len(rep.Incidents) > 0
 		render := func(w io.Writer) error {
-			switch {
-			case strings.HasSuffix(*sloOut, ".json"):
+			switch cli.Format(o.SLOOut) {
+			case "json":
 				return monitor.WriteJSON(w, rep)
-			case strings.HasSuffix(*sloOut, ".csv"):
+			case "csv":
 				return monitor.WriteCSV(w, rep)
 			default:
 				return monitor.WriteText(w, rep)
 			}
 		}
-		if err := writeTo(*sloOut, stdout, render); err != nil {
+		if err := cli.WriteTo(o.SLOOut, stdout, render); err != nil {
 			fmt.Fprintln(stderr, "msgbench:", err)
 			return 1
 		}
 	}
 
-	if srv != nil && ctx.Err() == nil {
-		// Keep the recorded run inspectable until the user interrupts.
-		fmt.Fprintln(stderr, "msgbench: runs done, still serving (SIGINT to stop)")
-		<-ctx.Done()
-	}
+	srv.Hold("runs done")
 	if mismatches > 0 {
 		fmt.Fprintf(stderr, "msgbench: %d comparisons diverged from the paper\n", mismatches)
 		return 1
@@ -345,27 +275,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 3
 	}
 	return 0
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }
 
 func one(runOne func() (experiments.Result, error)) ([]experiments.Result, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,14 +41,8 @@ func TestObsMsgbenchSLOCompliant(t *testing.T) {
 // TestObsMsgbenchSLOViolation: an impossible floor fires live and the run
 // exits 3, after the report is written.
 func TestObsMsgbenchSLOViolation(t *testing.T) {
-	rules := sloRules(t, "tight.yaml", `rules:
-  - name: impossible-floor
-    kind: rate
-    severity: page
-    match:
-      prefix: net_delivered_total
-    min: 1000000
-`)
+	rules := sloRules(t, "tight.json", `{"rules": [{"name": "impossible-floor", "kind": "rate", "severity": "page",
+  "match": {"prefix": "net_delivered_total"}, "min": 1000000}]}`)
 	sloPath := filepath.Join(t.TempDir(), "slo.txt")
 	var out, errOut strings.Builder
 	code := run([]string{"-figure", "6", "-quiet", "-slo", rules, "-slo-out", sloPath}, &out, &errOut)
@@ -63,6 +58,43 @@ func TestObsMsgbenchSLOViolation(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "SLO violated") {
 		t.Fatalf("stderr missing violation notice:\n%s", errOut.String())
+	}
+}
+
+// TestObsMsgbenchUntickedRun: Table 1's single-packet delivery never
+// ticks the round clock, yet -timeline-out and -slo each close exactly
+// one reconciled window and exit 0.
+func TestObsMsgbenchUntickedRun(t *testing.T) {
+	dir := t.TempDir()
+	tlPath := filepath.Join(dir, "tl.json")
+	var out, errOut strings.Builder
+	if code := run([]string{"-table", "1", "-quiet", "-timeline-out", tlPath}, &out, &errOut); code != 0 {
+		t.Fatalf("-timeline-out: exit %d; stderr:\n%s", code, errOut.String())
+	}
+	body, err := os.ReadFile(tlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Windows []json.RawMessage `json:"windows"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Windows) != 1 {
+		t.Errorf("timeline has %d windows, want 1", len(doc.Windows))
+	}
+
+	sloPath := filepath.Join(dir, "slo.txt")
+	if code := run([]string{"-table", "1", "-quiet", "-slo", "canonical", "-slo-out", sloPath}, &out, &errOut); code != 0 {
+		t.Fatalf("-slo canonical: exit %d; stderr:\n%s", code, errOut.String())
+	}
+	rep, err := os.ReadFile(sloPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(rep), "windows: 1 ") {
+		t.Errorf("SLO report did not evaluate one window:\n%s", rep)
 	}
 }
 

@@ -18,40 +18,37 @@
 //	netload -timeline-out tl.json      # windowed metrics timeline per point (.csv for CSV)
 //	netload -cpuprofile cpu.out        # pprof CPU profile of the sweep
 //	netload -memprofile mem.out        # pprof allocation profile at exit
-//	netload -dense                     # dense reference engine (baseline)
 //	netload -critpath cp.txt           # per-worm critical-path attribution ("-" = stdout)
-//	netload -slo rules.yaml            # evaluate SLO rules per point; exit 3 on violation
+//	netload -slo rules.json            # evaluate SLO rules per point; exit 3 on violation
 package main
 
 import (
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/critpath"
 	"msglayer/internal/flitnet"
-	"msglayer/internal/network"
 	"msglayer/internal/obs"
 	"msglayer/internal/obs/diff"
 	"msglayer/internal/obs/monitor"
-	"msglayer/internal/obs/monitor/blame"
-	"msglayer/internal/obs/serve"
 	"msglayer/internal/obs/timeline"
 	"msglayer/internal/parsweep"
-	"msglayer/internal/prof"
 	"msglayer/internal/report"
 	"msglayer/internal/topology"
 	"msglayer/internal/twin"
 	"msglayer/internal/workload"
 )
+
+// denseEngine runs every point on the dense reference engine. It has no
+// flag: tests set it to hold the tool's output to the engine contract.
+var denseEngine bool
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -74,32 +71,29 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	patternArg := fs.String("pattern", "uniform",
 		"traffic pattern: uniform, hotspot[:node:permille], transpose, bitcomplement, neighbor")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the sweep (0 = GOMAXPROCS, 1 = serial)")
-	metricsOut := fs.String("metrics", "", "dump flit-level metrics to a file (\"-\" = stdout)")
-	traceOut := fs.String("trace-out", "", "dump a Chrome trace-event JSON, one span per measure point (\"-\" = stdout)")
-	serveAddr := fs.String("serve", "",
-		"serve live observability on this address (/metrics, /snapshot, /trace, /debug/pprof/) during the sweep, then until interrupted; SIGINT shuts down cleanly")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof allocation profile to this file at exit")
-	dense := fs.Bool("dense", false,
-		"use the retained dense reference engine (scan every lane every cycle) instead of the event-driven scheduler; results are byte-identical, only speed differs")
+	o := cli.NewFlags(fs)
+	o.MetricsFlag("flit-level metrics")
+	o.TraceFlag(", one span per measure point")
+	o.ServeFlag("during the sweep, then until interrupted; SIGINT shuts down cleanly")
+	o.ProfileFlags("the sweep")
 	critpathOut := fs.String("critpath", "",
 		"trace every worm's transit and write a per-message critical-path attribution report (\"-\" = stdout); reconciled exactly against per-point counters")
-	timelineOut := fs.String("timeline-out", "",
-		"sample every point's metrics into simulated-cycle windows and write the timelines (\"-\" = stdout; a .csv suffix selects CSV, otherwise JSON); adds a per-phase analysis to the text report")
-	timelineInterval := fs.Int("timeline-interval", 100, "timeline window width in simulated cycles")
+	o.TimelineFlags("sample every point's metrics into simulated-cycle windows, add a per-phase analysis to the text report, and write the timelines",
+		100, "simulated cycles")
 	twinCols := fs.Bool("twin", false,
 		"append the analytic twin's closed-form predicted latency and its error vs the measured value per mode (twin-lat and twin-err% columns; the twin is calibrated on uniform traffic)")
 	baselineOut := fs.String("baseline", "",
 		"emit the paper's baseline-vs-CR comparison (Figure 6) as an obsdiff report: per-load deterministic-routing points diffed against their CR points, link by link (\"-\" = stdout; .json/.csv suffixes select the format, otherwise text)")
-	sloRules := fs.String("slo", "",
-		"evaluate SLO rules (JSON/YAML file, or \"canonical\") against every point's windowed timeline and exit 3 if any alert fired; samples each point like -timeline-out")
-	sloOut := fs.String("slo-out", "-",
-		"SLO alert report destination (\"-\" = stdout; .json/.csv suffixes select the format, otherwise text)")
+	o.SLOFlags("against every point's windowed timeline (sampled like -timeline-out)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "netload: offered load vs throughput/latency on the flit simulator")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := o.Check(); err != nil {
+		fmt.Fprintln(stderr, "netload:", err)
 		return 2
 	}
 	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
@@ -117,39 +111,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "netload:", err)
 		return 1
 	}
-	// Rules load before the sweep so a bad rules file fails fast, not after
-	// minutes of simulation.
-	var rules *monitor.RuleSet
-	if *sloRules != "" {
-		if rules, err = monitor.LoadRules(*sloRules); err != nil {
+	rules, err := o.Rules()
+	if err != nil {
+		fmt.Fprintln(stderr, "netload:", err)
+		return 1
+	}
+	stopProfiles, err := o.StartProfiles()
+	if err != nil {
+		fmt.Fprintln(stderr, "netload:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
 			fmt.Fprintln(stderr, "netload:", err)
-			return 1
+			code = 1
 		}
-	}
-	// Profiles cover the whole run and finalize on every exit path; a
-	// profile that cannot be written is reported and removed, never left
-	// truncated (same contract as -metrics/-trace-out).
-	if *cpuProfile != "" {
-		stop, err := prof.StartCPU(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(stderr, "netload:", err)
-			return 1
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintln(stderr, "netload:", err)
-				code = 1
-			}
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := prof.WriteHeap(*memProfile); err != nil {
-				fmt.Fprintln(stderr, "netload:", err)
-				code = 1
-			}
-		}()
-	}
+	}()
 	mkTopo := func() (topology.Topology, error) {
 		switch *topoArg {
 		case "fattree":
@@ -184,40 +161,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	var hub *obs.Hub
-	if *metricsOut != "" || *traceOut != "" || *serveAddr != "" {
+	if o.Metrics != "" || o.TraceOut != "" || o.Serve != "" {
 		hub = obs.NewHub()
 	}
-
 	// With -serve, live endpoints answer throughout the sweep and SIGINT
-	// aborts the remaining points and shuts the server down cleanly.
-	ctx := context.Background()
-	var srv *serve.Server
-	if *serveAddr != "" {
-		srv = serve.New(hub)
-		if err := srv.Start(*serveAddr); err != nil {
-			fmt.Fprintln(stderr, "netload:", err)
-			return 1
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = signal.NotifyContext(ctx, os.Interrupt)
-		defer cancel()
-		defer func() {
-			sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer scancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				fmt.Fprintln(stderr, "netload: shutdown:", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "netload: observability on http://%s (SIGINT to stop)\n", srv.Addr())
+	// aborts the remaining points.
+	srv, err := cli.Serve("netload", o.Serve, hub, nil, nil, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "netload:", err)
+		return 1
 	}
-	// sync routes hub mutations through the server's lock when serving.
-	sync := func(fn func()) {
-		if srv != nil {
-			srv.Sync(fn)
-		} else {
-			fn()
-		}
-	}
+	defer srv.Close()
 
 	// Each (load, mode) point is an independent deterministic run — fresh
 	// topology, network, and generator, same seed — so the grid fans across
@@ -232,14 +186,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		hub       *obs.Hub           // per-point span-traced hub, -critpath only
 		tl        *timeline.Timeline // per-point windowed timeline, -timeline-out only
 		metrics   []obs.JSONMetric   // per-point registry export, -baseline only
-	}
-	if *timelineInterval < 1 {
-		fmt.Fprintln(stderr, "netload: -timeline-interval must be >= 1")
-		return 1
+		drained   bool
 	}
 	jobs := len(loads) * len(modes)
 	results := make([]pointResult, jobs)
-	prefix, err := parsweep.RunCtx(ctx, workers, jobs, func(i int) error {
+	prefix, err := parsweep.RunCtx(srv.Context(), workers, jobs, func(i int) error {
 		load, mode := loads[i/len(modes)], modes[i%len(modes)]
 		topo, err := mkTopo()
 		if err != nil {
@@ -250,19 +201,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// in input order and stay byte-identical at any worker count.
 		var pointHub *obs.Hub
 		var scope *obs.FlitScope
-		if *critpathOut != "" || *timelineOut != "" || *baselineOut != "" || *sloRules != "" {
+		if *critpathOut != "" || o.TimelineOut != "" || *baselineOut != "" || rules != nil {
 			pointHub = obs.NewHub()
 			scope = pointHub.FlitScope()
 		}
 		var sampler *timeline.Sampler
-		if *timelineOut != "" || *sloRules != "" {
-			sampler = timeline.New(pointHub.Metrics, timeline.Config{Interval: uint64(*timelineInterval)})
+		if o.TimelineOut != "" || rules != nil {
+			sampler = timeline.New(pointHub.Metrics, timeline.Config{Interval: uint64(o.TimelineInterval)})
 		}
-		thru, lat, st, idle, err := measure(topo, mode, *vcs, pattern, load, *cycles, *seed, *dense, scope, sampler)
+		thru, lat, st, idle, drained, err := measure(topo, mode, *vcs, pattern, load, *cycles, *seed, scope, sampler)
 		if err != nil {
 			return err
 		}
-		res := pointResult{thru: thru, lat: lat, st: st, idle: idle}
+		res := pointResult{thru: thru, lat: lat, st: st, idle: idle, drained: drained}
 		if *critpathOut != "" {
 			res.hub = pointHub
 		}
@@ -272,11 +223,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if sampler != nil {
 			// Every window's deltas must sum exactly to the point's final
 			// registry totals; a sampler that cannot account for itself is
-			// a bug, not a report.
-			if err := sampler.Reconcile(); err != nil {
+			// a bug, not a report. st.Cycles is the net's clock after the
+			// drain, the cycle the sampler rode.
+			if res.tl, err = sampler.Finish(st.Cycles); err != nil {
 				return fmt.Errorf("%s load %.2f: timeline reconciliation: %w", mode, load, err)
 			}
-			res.tl = sampler.Snapshot()
 		}
 		results[i] = res
 		return nil
@@ -295,8 +246,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		values := make([]float64, 0, 2*len(modes))
 		for mi, mode := range modes {
 			res := results[li*len(modes)+mi]
+			if !res.drained {
+				fmt.Fprintf(stderr, "netload: warning: %s load %.2f did not drain within 200000 cycles; its throughput and latency cover only the delivered packets\n", mode, load)
+			}
 			if hub != nil {
-				sync(func() { recordPoint(hub, mode, load, res.st, res.idle) })
+				srv.Sync(func() { recordPoint(hub, mode, load, res.st, res.idle) })
 			}
 			idleTotal += res.idle
 			values = append(values, res.thru, res.lat)
@@ -320,7 +274,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *critpathOut != "" {
-		err := writeTo(*critpathOut, stdout, func(w io.Writer) error {
+		err := cli.WriteTo(*critpathOut, stdout, func(w io.Writer) error {
 			for i := 0; i < prefix; i++ {
 				res := results[i]
 				if res.hub == nil {
@@ -350,7 +304,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Timeline     *timeline.Timeline `json:"timeline"`
 	}
 	var tlPoints []timelinePoint
-	if *timelineOut != "" {
+	if o.TimelineOut != "" {
 		for i := 0; i < prefix; i++ {
 			if results[i].tl == nil {
 				continue
@@ -361,8 +315,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				Timeline:     results[i].tl,
 			})
 		}
-		err := writeTo(*timelineOut, stdout, func(w io.Writer) error {
-			if strings.HasSuffix(*timelineOut, ".csv") {
+		err := cli.WriteTo(o.TimelineOut, stdout, func(w io.Writer) error {
+			if cli.Format(o.TimelineOut) == "csv" {
 				cw := csv.NewWriter(w)
 				if err := cw.Write(timeline.CSVHeader("mode", "load_permille")); err != nil {
 					return err
@@ -419,13 +373,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 		render := diff.WriteText
-		switch {
-		case strings.HasSuffix(*baselineOut, ".json"):
+		switch cli.Format(*baselineOut) {
+		case "json":
 			render = diff.WriteJSON
-		case strings.HasSuffix(*baselineOut, ".csv"):
+		case "csv":
 			render = diff.WriteCSV
 		}
-		err := writeTo(*baselineOut, stdout, func(w io.Writer) error { return render(w, rep) })
+		err := cli.WriteTo(*baselineOut, stdout, func(w io.Writer) error { return render(w, rep) })
 		if err != nil {
 			fmt.Fprintln(stderr, "netload:", err)
 			return 1
@@ -433,14 +387,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if hub != nil {
-		if *metricsOut != "" {
-			if err := writeTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
+		if o.Metrics != "" {
+			if err := cli.WriteTo(o.Metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
 				fmt.Fprintln(stderr, "netload:", err)
 				return 1
 			}
 		}
-		if *traceOut != "" {
-			if err := writeTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
+		if o.TraceOut != "" {
+			if err := cli.WriteTo(o.TraceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, "netload:", err)
 				return 1
 			}
@@ -453,11 +407,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprint(stdout, report.CSV("load_permille", names, points))
 	} else {
 		fmt.Fprint(stdout, report.Series(title, "load", names, points))
-		fmt.Fprintf(stdout, "# idle cycles fast-forwarded: %d (event-driven engine; 0 under -dense)\n", idleTotal)
+		fmt.Fprintf(stdout, "# idle cycles fast-forwarded: %d (event-driven engine)\n", idleTotal)
 		if len(tlPoints) > 0 {
 			// Per-phase overhead breakdowns: each point's run segmented into
 			// warmup/steady/burst/drain from its windowed event rates.
-			fmt.Fprintf(stdout, "\n# phase analysis (%d-cycle windows)\n", *timelineInterval)
+			fmt.Fprintf(stdout, "\n# phase analysis (%d-cycle windows)\n", o.TimelineInterval)
 			for _, p := range tlPoints {
 				var b strings.Builder
 				fmt.Fprintf(&b, "%s routing, load %d/1000:\n", p.Mode, p.LoadPermille)
@@ -468,7 +422,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	// SLO evaluation replays every completed point's timeline through the
 	// monitor, in input order, so the merged alert report is byte-identical
-	// at any -parallel value and on either engine. The report is
+	// at any -parallel value. The report is
 	// written before the violation exit so the artifact always exists.
 	sloViolated := false
 	if rules != nil {
@@ -477,64 +431,24 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			if results[i].tl == nil {
 				continue
 			}
-			m, err := monitor.New(rules)
-			if err != nil {
-				fmt.Fprintln(stderr, "netload:", err)
-				return 1
-			}
-			m.SetBlamer(blame.Compute)
 			label := fmt.Sprintf("%s/load=%d", modes[i%len(modes)], int(loads[i/len(modes)]*1000))
-			if err := m.Replay(results[i].tl); err != nil {
-				fmt.Fprintf(stderr, "netload: slo: %s: %v\n", label, err)
+			rep, err := cli.Replay(rules, false, label, results[i].tl)
+			if err != nil {
+				fmt.Fprintln(stderr, "netload: slo:", err)
 				return 1
 			}
-			rep := m.Snapshot(label)
 			reports = append(reports, rep)
 			sloViolated = sloViolated || len(rep.Incidents) > 0
 		}
-		err := writeTo(*sloOut, stdout, func(w io.Writer) error {
-			switch {
-			case strings.HasSuffix(*sloOut, ".json"):
-				return monitor.WriteJSONReports(w, reports)
-			case strings.HasSuffix(*sloOut, ".csv"):
-				cw := csv.NewWriter(w)
-				if err := cw.Write(monitor.CSVHeader("label")); err != nil {
-					return err
-				}
-				for _, rep := range reports {
-					if err := monitor.AppendCSV(cw, []string{rep.Label}, rep); err != nil {
-						return err
-					}
-				}
-				cw.Flush()
-				return cw.Error()
-			default:
-				for i, rep := range reports {
-					if i > 0 {
-						if _, err := io.WriteString(w, "\n"); err != nil {
-							return err
-						}
-					}
-					if err := monitor.WriteText(w, rep); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-		})
-		if err != nil {
+		if err := cli.WriteReports(o.SLOOut, stdout, cli.Format(o.SLOOut), reports); err != nil {
 			fmt.Fprintln(stderr, "netload:", err)
 			return 1
 		}
 	}
-	if hub != nil && hub.Trace.Dropped() > 0 {
-		fmt.Fprintf(stderr, "netload: warning: trace dropped %d events; exported traces are truncated\n", hub.Trace.Dropped())
+	if hub != nil {
+		cli.WarnDropped(stderr, "netload", hub, cli.Truncated)
 	}
-	if srv != nil && ctx.Err() == nil {
-		// Keep the final state inspectable until the user interrupts.
-		fmt.Fprintln(stderr, "netload: sweep done, still serving (SIGINT to stop)")
-		<-ctx.Done()
-	}
+	srv.Hold("sweep done")
 	if sloViolated {
 		fmt.Fprintln(stderr, "netload: SLO violated")
 		return 3
@@ -544,26 +458,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 // measure runs one (topology, mode, pattern, load) point and returns
 // delivered packets per node per kilocycle, the mean packet latency in
-// cycles, the raw flit-level stats for the observability dump, and the
-// cycles the event-driven engine fast-forwarded while idle. With dense set
-// it runs the retained dense reference engine; the numbers are
-// byte-identical either way (the differential tests hold the engines to
-// that), only the wall-clock cost differs — and the dense engine never
-// fast-forwards, so its idle count is always zero. A non-nil scope traces
-// every worm's transit for critical-path attribution; a non-nil sampler
-// rides the net's cycle listener and is flushed at the final cycle, so the
-// timeline is identical whichever engine ran the point.
-func measure(topo topology.Topology, mode flitnet.Mode, vcs int, pattern workload.Pattern, load float64, cycles int, seed int64, dense bool, scope *obs.FlitScope, sampler *timeline.Sampler) (float64, float64, flitnet.Stats, uint64, error) {
+// cycles, the raw flit-level stats for the observability dump, the cycles
+// the event-driven engine fast-forwarded while idle, and whether the
+// network drained. A non-nil scope traces every worm's transit for
+// critical-path attribution; a non-nil sampler rides the net's cycle
+// listener.
+func measure(topo topology.Topology, mode flitnet.Mode, vcs int, pattern workload.Pattern, load float64, cycles int, seed int64, scope *obs.FlitScope, sampler *timeline.Sampler) (thru, lat float64, st flitnet.Stats, idle uint64, drained bool, err error) {
 	net, err := flitnet.New(flitnet.Config{
 		Topology:        topo,
 		Mode:            mode,
 		BufferFlits:     3,
 		InjectQueue:     8,
 		VirtualChannels: vcs,
-		DenseReference:  dense,
+		DenseReference:  denseEngine,
 	})
 	if err != nil {
-		return 0, 0, flitnet.Stats{}, 0, err
+		return 0, 0, st, 0, false, err
 	}
 	if scope != nil {
 		net.SetFlitObserver(scope)
@@ -571,37 +481,14 @@ func measure(topo topology.Topology, mode flitnet.Mode, vcs int, pattern workloa
 	if sampler != nil {
 		net.SetCycleListener(sampler.Advance)
 	}
-	nodes := net.Nodes()
-	gen, err := workload.NewGenerator(pattern, nodes, load, seed)
+	gen, err := workload.NewGenerator(pattern, net.Nodes(), load, seed)
 	if err != nil {
-		return 0, 0, flitnet.Stats{}, 0, err
+		return 0, 0, st, 0, false, err
 	}
-	for c := 0; c < cycles; c++ {
-		for _, a := range gen.Cycle() {
-			// Injection may backpressure at saturation; the refusal is
-			// part of the measurement (offered != accepted).
-			_ = net.Inject(network.Packet{
-				Src: a.Src, Dst: a.Dst,
-				Data: []network.Word{network.Word(c)},
-			})
-		}
-		net.Tick(1)
-	}
-	// Drain what is in flight so latencies are complete.
-	net.TickUntilQuiet(200000)
-	for node := 0; node < nodes; node++ {
-		for {
-			if _, ok := net.TryRecv(node); !ok {
-				break
-			}
-		}
-	}
-	if sampler != nil {
-		sampler.Flush(net.Cycle())
-	}
-	st := net.FlitStats()
-	thru := float64(st.Delivered) / float64(nodes) / float64(cycles) * 1000
-	return thru, st.MeanLatency(), st, net.IdleSkipped(), nil
+	drained = workload.Drive(net, gen, cycles)
+	st = net.FlitStats()
+	thru = float64(st.Delivered) / float64(net.Nodes()) / float64(cycles) * 1000
+	return thru, st.MeanLatency(), st, net.IdleSkipped(), drained, nil
 }
 
 // recordPoint files one measure point's flit-level stats into the metrics
@@ -628,7 +515,7 @@ func recordPoint(h *obs.Hub, mode flitnet.Mode, load float64, st flitnet.Stats, 
 	// The registry is integer-valued; keep three decimals of the mean.
 	h.Metrics.Level(key("netload_latency_mean_millicycles")).Set(int64(st.MeanLatency() * 1000))
 	// Engine-performance gauge: cycles the event-driven scheduler skipped
-	// while no flit could move (always 0 under the dense reference).
+	// while no flit could move.
 	h.Metrics.Level(key("flitnet_idle_skipped")).Set(int64(idle))
 
 	// One span per measure point, laid end to end: the span length is the
@@ -643,27 +530,6 @@ func recordPoint(h *obs.Hub, mode flitnet.Mode, load float64, st flitnet.Stats, 
 		Dur:   st.Cycles,
 		Phase: obs.PhaseComplete,
 	})
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }
 
 func parseLoads(s string) ([]float64, error) {

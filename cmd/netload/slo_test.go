@@ -18,14 +18,8 @@ func sloRules(t *testing.T, name, content string) string {
 }
 
 // tightSLO fires on every point: no link moves a million flits per kcycle.
-const tightSLO = `rules:
-  - name: impossible-link-floor
-    kind: rate
-    severity: page
-    match:
-      prefix: flitnet_link_flits_total
-    min: 1000000
-`
+const tightSLO = `{"rules": [{"name": "impossible-link-floor", "kind": "rate", "severity": "page",
+  "match": {"prefix": "flitnet_link_flits_total"}, "min": 1000000}]}`
 
 // looseSLO never fires (a link moves at most 1000 flits per kcycle).
 const looseSLO = `{"rules": [{"name": "roomy-link-ceiling", "kind": "rate",
@@ -50,7 +44,7 @@ func runSLO(t *testing.T, rulesPath string, extra ...string) (int, string) {
 // TestObsNetloadSLOViolation: a firing rule exits 3 and the report (still
 // written) names every point.
 func TestObsNetloadSLOViolation(t *testing.T) {
-	code, rep := runSLO(t, sloRules(t, "tight.yaml", tightSLO))
+	code, rep := runSLO(t, sloRules(t, "tight.json", tightSLO))
 	if code != 3 {
 		t.Fatalf("exit = %d, want 3\n%s", code, rep)
 	}
@@ -76,26 +70,19 @@ func TestObsNetloadSLOCompliant(t *testing.T) {
 }
 
 // TestObsNetloadSLODeterminism: the alert report is byte-identical across
-// worker counts and the dense reference engine — the alert
-// determinism contract CI gates with the canonical rules.
+// worker counts — the alert determinism contract CI gates with the
+// canonical rules.
 func TestObsNetloadSLODeterminism(t *testing.T) {
-	rules := sloRules(t, "tight.yaml", tightSLO)
+	rules := sloRules(t, "tight.json", tightSLO)
 	_, base := runSLO(t, rules, "-parallel", "1")
-	for _, extra := range [][]string{
-		{"-parallel", "4"},
-		{"-dense"},
-	} {
-		_, got := runSLO(t, rules, extra...)
-		if got != base {
-			t.Errorf("%v: alert report differs from serial:\n--- serial ---\n%s\n--- %v ---\n%s",
-				extra, base, extra, got)
-		}
+	if _, got := runSLO(t, rules, "-parallel", "4"); got != base {
+		t.Errorf("alert report differs between -parallel 1 and 4:\n--- serial ---\n%s\n--- parallel ---\n%s", base, got)
 	}
 }
 
 // TestObsNetloadSLOBadRules: a bad rules file fails before the sweep.
 func TestObsNetloadSLOBadRules(t *testing.T) {
-	bad := sloRules(t, "bad.yaml", "rules:\n  - name: x\n    kind: nosuch\n")
+	bad := sloRules(t, "bad.json", `{"rules": [{"name": "x", "kind": "nosuch"}]}`)
 	var out, errOut strings.Builder
 	if code := run([]string{"-slo", bad}, &out, &errOut); code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, errOut.String())

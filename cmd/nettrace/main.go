@@ -17,10 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"msglayer/internal/obs"
-	"msglayer/internal/obs/timeline"
+	"msglayer/internal/cli"
 	"msglayer/internal/trace"
 )
 
@@ -35,35 +33,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	figure := fs.Int("figure", 0, "figure to trace (3, 4, 5, or 7); 0 = all")
 	words := fs.Int("words", 8, "message size in words for figures 3 and 5")
 	packets := fs.Int("packets", 4, "packet count for figures 4 and 7")
-	metricsOut := fs.String("metrics", "", "dump the figure runs' metrics to a file (\"-\" = stdout)")
-	traceOut := fs.String("trace-out", "", "dump a Chrome trace-event JSON of the figure runs (\"-\" = stdout)")
-	timelineOut := fs.String("timeline-out", "",
-		"sample the figure runs' metrics into windowed deltas on the machine-round clock and write the timeline (\"-\" = stdout; a .csv suffix selects CSV, otherwise JSON)")
-	timelineInterval := fs.Int("timeline-interval", 16, "timeline window width in machine rounds")
+	o := cli.NewFlags(fs)
+	o.MetricsFlag("the figure runs' metrics")
+	o.TraceFlag(" of the figure runs")
+	o.TimelineFlags("sample the figure runs' metrics into windowed deltas on the machine-round clock and write the timeline",
+		16, "machine rounds")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *timelineInterval < 1 {
-		fmt.Fprintln(stderr, "nettrace: -timeline-interval must be >= 1")
+	if err := o.Check(); err != nil {
+		fmt.Fprintln(stderr, "nettrace:", err)
 		return 2
 	}
 
 	// With -metrics/-trace-out/-timeline-out the figure machines attach a
-	// hub, so the runs record full node scopes alongside the printed step
-	// diagrams.
-	var hub *obs.Hub
-	if *metricsOut != "" || *traceOut != "" || *timelineOut != "" {
-		hub = obs.NewHub()
-		trace.SetObserver(hub)
+	// session hub, so the runs record full node scopes alongside the
+	// printed step diagrams; the timeline sampler rides the hub's round
+	// clock across all the figure runs.
+	var sess *cli.Session
+	if o.Metrics != "" || o.TraceOut != "" || o.TimelineOut != "" {
+		var err error
+		if sess, err = cli.NewSession(cli.SessionConfig{
+			Timeline: o.TimelineOut != "",
+			Interval: uint64(o.TimelineInterval),
+		}); err != nil {
+			fmt.Fprintln(stderr, "nettrace:", err)
+			return 1
+		}
+		trace.SetObserver(sess.Hub)
 		defer trace.SetObserver(nil)
-	}
-	// The timeline sampler rides the hub's round clock across all the
-	// figure runs; windows close as the shared round counter crosses
-	// interval boundaries.
-	var sampler *timeline.Sampler
-	if *timelineOut != "" {
-		sampler = timeline.New(hub.Metrics, timeline.Config{Interval: uint64(*timelineInterval)})
-		hub.SetTickListener(sampler.Advance)
 	}
 
 	runners := map[int]func() (trace.Trace, error){
@@ -89,68 +87,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, tr)
 	}
 
-	if hub != nil {
-		if *metricsOut != "" {
-			if err := writeTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
-				fmt.Fprintln(stderr, "nettrace:", err)
-				return 1
-			}
-		}
-		if *traceOut != "" {
-			if err := writeTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
-				fmt.Fprintln(stderr, "nettrace:", err)
-				return 1
-			}
-		}
-		if sampler != nil {
-			// A run that never ticked the round clock still closes one
-			// window holding all its deltas.
-			end := hub.Round()
-			if end == 0 {
-				end = 1
-			}
-			sampler.Flush(end)
-			// Window deltas must sum exactly to the final registry totals.
-			if err := sampler.Reconcile(); err != nil {
-				fmt.Fprintln(stderr, "nettrace: timeline reconciliation:", err)
-				return 1
-			}
-			tl := sampler.Snapshot()
-			render := func(w io.Writer) error {
-				if strings.HasSuffix(*timelineOut, ".csv") {
-					return timeline.WriteCSV(w, tl)
-				}
-				return timeline.WriteJSON(w, tl)
-			}
-			if err := writeTo(*timelineOut, stdout, render); err != nil {
-				fmt.Fprintln(stderr, "nettrace:", err)
-				return 1
-			}
-		}
-		if d := hub.Trace.Dropped(); d > 0 {
-			fmt.Fprintf(stderr, "nettrace: warning: trace dropped %d events; exported traces are truncated\n", d)
+	if sess == nil {
+		return 0
+	}
+	tl, err := sess.Finish()
+	if err != nil {
+		fmt.Fprintln(stderr, "nettrace:", err)
+		return 1
+	}
+	if o.Metrics != "" {
+		if err := cli.WriteTo(o.Metrics, stdout, sess.Hub.Metrics.WritePrometheus); err != nil {
+			fmt.Fprintln(stderr, "nettrace:", err)
+			return 1
 		}
 	}
+	if o.TraceOut != "" {
+		if err := cli.WriteTo(o.TraceOut, stdout, sess.Hub.Trace.WriteChromeTrace); err != nil {
+			fmt.Fprintln(stderr, "nettrace:", err)
+			return 1
+		}
+	}
+	if tl != nil {
+		if err := cli.WriteTimeline(o.TimelineOut, stdout, tl); err != nil {
+			fmt.Fprintln(stderr, "nettrace:", err)
+			return 1
+		}
+	}
+	cli.WarnDropped(stderr, "nettrace", sess.Hub, cli.Truncated)
 	return 0
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }

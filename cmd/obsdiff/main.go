@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/obs/diff"
 )
 
@@ -93,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "obsdiff: unknown format %q (want text, json, or csv)\n", *format)
 		return 2
 	}
-	if err := writeTo(*out, stdout, func(w io.Writer) error { return render(w, report) }); err != nil {
+	if err := cli.WriteTo(*out, stdout, func(w io.Writer) error { return render(w, report) }); err != nil {
 		fmt.Fprintln(stderr, "obsdiff:", err)
 		return 1
 	}
@@ -102,25 +103,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }

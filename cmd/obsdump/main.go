@@ -15,22 +15,19 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"time"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/cmam"
 	"msglayer/internal/cost"
 	"msglayer/internal/crmsg"
 	"msglayer/internal/machine"
 	"msglayer/internal/network"
 	"msglayer/internal/obs"
-	"msglayer/internal/obs/serve"
 	"msglayer/internal/protocols"
 )
 
@@ -68,9 +65,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	words := fs.Int("words", 64, "transfer size in words")
 	metricsFormat := fs.String("metrics-format", "prom", "metrics dump format: prom or json")
 	metricsOut := fs.String("metrics-out", "-", "metrics destination file (\"-\" = stdout)")
-	traceOut := fs.String("trace-out", "", "Chrome trace-event JSON destination (\"-\" = stdout, empty = no trace)")
-	serveAddr := fs.String("serve", "",
-		"serve live observability on this address (/metrics, /snapshot, /trace, /debug/pprof/) and keep serving after the runs until interrupted")
+	o := cli.NewFlags(fs)
+	o.TraceFlag(" of the runs")
+	o.ServeFlag("and keep serving after the runs until interrupted")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -95,103 +92,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	hub := obs.NewHub()
-	ctx := context.Background()
-	var srv *serve.Server
-	if *serveAddr != "" {
-		srv = serve.New(hub)
-		if err := srv.Start(*serveAddr); err != nil {
-			fmt.Fprintln(stderr, "obsdump:", err)
-			return 1
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = signal.NotifyContext(ctx, os.Interrupt)
-		defer cancel()
-		defer func() {
-			sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer scancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				fmt.Fprintln(stderr, "obsdump: shutdown:", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "obsdump: observability on http://%s (SIGINT to stop)\n", srv.Addr())
+	srv, err := cli.Serve("obsdump", o.Serve, hub, nil, nil, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "obsdump:", err)
+		return 1
 	}
+	defer srv.Close()
 	for _, s := range selected {
-		var err error
-		runOne := func() { err = s.run(hub, *words) }
-		if srv != nil {
-			srv.Sync(runOne) // scenarios mutate the hub; serialize vs handlers
-		} else {
-			runOne()
-		}
+		srv.Sync(func() { err = s.run(hub, *words) }) // scenarios mutate the hub; serialize vs handlers
 		if err != nil {
 			fmt.Fprintf(stderr, "obsdump: %s: %v\n", s.name, err)
 			return 1
 		}
 	}
 
-	if err := writeMetrics(hub, *metricsFormat, *metricsOut, stdout); err != nil {
-		fmt.Fprintln(stderr, "obsdump:", err)
-		return 1
-	}
-	if *traceOut != "" {
-		if err := writeTrace(hub, *traceOut, stdout); err != nil {
-			fmt.Fprintln(stderr, "obsdump:", err)
-			return 1
-		}
-	}
-	if d := hub.Trace.Dropped(); d > 0 {
-		fmt.Fprintf(stderr, "obsdump: warning: trace dropped %d events; exported traces are truncated\n", d)
-	}
-	if srv != nil && ctx.Err() == nil {
-		// Keep the recorded run inspectable until the user interrupts.
-		fmt.Fprintln(stderr, "obsdump: runs done, still serving (SIGINT to stop)")
-		<-ctx.Done()
-	}
-	return 0
-}
-
-// writeMetrics dumps the registry in the chosen format.
-func writeMetrics(h *obs.Hub, format, dest string, stdout io.Writer) error {
-	return writeDest(dest, stdout, func(w io.Writer) error {
-		if format == "json" {
-			data, err := h.Metrics.MetricsJSON()
+	err = cli.WriteTo(*metricsOut, stdout, func(w io.Writer) error {
+		if *metricsFormat == "json" {
+			data, err := hub.Metrics.MetricsJSON()
 			if err != nil {
 				return err
 			}
 			_, err = w.Write(append(data, '\n'))
 			return err
 		}
-		return h.Metrics.WritePrometheus(w)
+		return hub.Metrics.WritePrometheus(w)
 	})
-}
-
-// writeTrace dumps the Chrome trace-event JSON.
-func writeTrace(h *obs.Hub, dest string, stdout io.Writer) error {
-	return writeDest(dest, stdout, func(w io.Writer) error {
-		return h.Trace.WriteChromeTrace(w)
-	})
-}
-
-// writeDest renders into a file, or stdout for "-". An unwritable path is a
-// clear error, and a failed render or close removes the file instead of
-// leaving a truncated dump that looks like a valid artifact.
-func writeDest(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
 	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
+		fmt.Fprintln(stderr, "obsdump:", err)
+		return 1
 	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if o.TraceOut != "" {
+		if err := cli.WriteTo(o.TraceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
+			fmt.Fprintln(stderr, "obsdump:", err)
+			return 1
+		}
 	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
+	cli.WarnDropped(stderr, "obsdump", hub, cli.Truncated)
+	srv.Hold("runs done")
+	return 0
 }
 
 // payload builds a deterministic test payload.

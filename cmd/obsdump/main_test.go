@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"msglayer/internal/cli"
 )
 
 func readFile(path string) ([]byte, error) { return os.ReadFile(path) }
@@ -143,7 +145,7 @@ func TestObsDumpBadFlags(t *testing.T) {
 
 // TestObsDumpUnwritableTraceOut: an unwritable -trace-out must be a non-zero
 // exit with a clear error, not a silent success or a partial file. A
-// directory path fails os.Create even when tests run as root.
+// directory path cannot be opened as a file even when tests run as root.
 func TestObsDumpUnwritableTraceOut(t *testing.T) {
 	dest := t.TempDir() // a directory is not a writable file path
 	var stdout, stderr bytes.Buffer
@@ -158,18 +160,18 @@ func TestObsDumpUnwritableTraceOut(t *testing.T) {
 }
 
 // TestObsDumpFailedRenderRemovesPartialFile: when rendering into a file
-// fails midway, writeDest must remove the truncated artifact.
+// fails midway, cli.WriteTo must remove the truncated artifact.
 func TestObsDumpFailedRenderRemovesPartialFile(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "trace.json")
 	renderErr := errors.New("render broke midway")
-	err := writeDest(dest, io.Discard, func(w io.Writer) error {
+	err := cli.WriteTo(dest, io.Discard, func(w io.Writer) error {
 		if _, werr := w.Write([]byte(`{"traceEvents":[`)); werr != nil {
 			return werr
 		}
 		return renderErr
 	})
 	if !errors.Is(err, renderErr) {
-		t.Fatalf("writeDest error = %v, want wrapped render error", err)
+		t.Fatalf("cli.WriteTo error = %v, want wrapped render error", err)
 	}
 	if _, statErr := os.Stat(dest); !errors.Is(statErr, os.ErrNotExist) {
 		t.Errorf("partial file left behind at %s (stat err: %v)", dest, statErr)

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	obsmon -rules rules.yaml -timeline tl.json   # replay a recorded timeline
+//	obsmon -rules rules.json -timeline tl.json   # replay a recorded timeline
 //	obsmon -rules canonical -timeline grid.json  # built-in rules, every grid point
 //	obsmon -rules slo.json -scenario cm5-finite  # live run with the monitor attached
 //	obsmon -format json -o report.json           # text (default), json, or csv
@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -25,12 +24,10 @@ import (
 	"sort"
 	"strings"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/experiments"
-	"msglayer/internal/obs"
 	"msglayer/internal/obs/diff"
 	"msglayer/internal/obs/monitor"
-	"msglayer/internal/obs/monitor/blame"
-	"msglayer/internal/obs/timeline"
 )
 
 func main() {
@@ -42,13 +39,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("obsmon", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rulesPath := fs.String("rules", "canonical",
-		"SLO rules file (JSON or YAML), or \"canonical\" for the built-in rule set")
+		"SLO rules file (JSON), or \"canonical\" for the built-in rule set")
 	timelinePath := fs.String("timeline", "",
 		"recorded timeline artifact to replay (single timeline or netload grid JSON)")
 	scenario := fs.String("scenario", "",
 		"live canonical scenario to monitor: "+strings.Join(experiments.CanonicalScenarios(), ", "))
 	words := fs.Int("words", 64, "transfer size in words for -scenario")
-	interval := fs.Uint64("interval", 8, "sampling window width in cycles for -scenario")
+	interval := fs.Int("interval", 8, "sampling window width in cycles for -scenario")
 	format := fs.String("format", "text", "report format: text, json, or csv")
 	out := fs.String("o", "-", "report destination file (\"-\" = stdout)")
 	failOn := fs.String("fail-on", "open",
@@ -73,6 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "obsmon: exactly one of -timeline or -scenario is required")
 		return 2
 	}
+	if err := cli.CheckInterval("interval", *interval); err != nil {
+		fmt.Fprintln(stderr, "obsmon:", err)
+		return 2
+	}
 
 	rules, err := monitor.LoadRules(*rulesPath)
 	if err != nil {
@@ -84,14 +85,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *timelinePath != "" {
 		reports, err = replayArtifact(*timelinePath, rules, *noBlame)
 	} else {
-		reports, err = runLive(*scenario, *words, *interval, rules, *noBlame)
+		reports, err = runLive(*scenario, *words, uint64(*interval), rules, *noBlame)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "obsmon:", err)
 		return 1
 	}
 
-	if err := writeReports(*out, stdout, *format, reports); err != nil {
+	if err := cli.WriteReports(*out, stdout, *format, reports); err != nil {
 		fmt.Fprintln(stderr, "obsmon:", err)
 		return 1
 	}
@@ -112,19 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// newMonitor builds a monitor over the rule set with blame wired unless
-// suppressed.
-func newMonitor(rules *monitor.RuleSet, noBlame bool) (*monitor.Monitor, error) {
-	m, err := monitor.New(rules)
-	if err != nil {
-		return nil, err
-	}
-	if !noBlame {
-		m.SetBlamer(blame.Compute)
-	}
-	return m, nil
-}
-
 // replayArtifact evaluates the rules against a recorded timeline artifact:
 // one report for a single timeline, one per point (in sorted key order)
 // for a netload grid.
@@ -133,19 +121,9 @@ func replayArtifact(path string, rules *monitor.RuleSet, noBlame bool) ([]*monit
 	if err != nil {
 		return nil, err
 	}
-	replayOne := func(label string, tl *timeline.Timeline) (*monitor.Report, error) {
-		m, err := newMonitor(rules, noBlame)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Replay(tl); err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		return m.Snapshot(label), nil
-	}
 	switch art.Kind {
 	case "timeline":
-		rep, err := replayOne(path, art.Timeline)
+		rep, err := cli.Replay(rules, noBlame, path, art.Timeline)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +136,7 @@ func replayArtifact(path string, rules *monitor.RuleSet, noBlame bool) ([]*monit
 		sort.Strings(keys)
 		reports := make([]*monitor.Report, 0, len(keys))
 		for _, k := range keys {
-			rep, err := replayOne(k, art.Grid[k])
+			rep, err := cli.Replay(rules, noBlame, k, art.Grid[k])
 			if err != nil {
 				return nil, err
 			}
@@ -173,79 +151,17 @@ func replayArtifact(path string, rules *monitor.RuleSet, noBlame bool) ([]*monit
 // runLive attaches the monitor to a live canonical scenario and evaluates
 // windows as they close.
 func runLive(scenario string, words int, interval uint64, rules *monitor.RuleSet, noBlame bool) ([]*monitor.Report, error) {
-	if interval == 0 {
-		return nil, fmt.Errorf("-interval must be positive")
-	}
-	m, err := newMonitor(rules, noBlame)
+	sess, err := cli.NewSession(cli.SessionConfig{Interval: interval, Rules: rules, NoBlame: noBlame})
 	if err != nil {
 		return nil, err
 	}
-	h := obs.NewHub()
-	s := timeline.New(h.Metrics, timeline.Config{Interval: interval})
-	m.Attach(s)
-	h.SetTickListener(s.Advance)
-	experiments.SetObserver(h)
+	experiments.SetObserver(sess.Hub)
 	defer experiments.SetObserver(nil)
 	if _, err := experiments.RunCanonical(scenario, words); err != nil {
 		return nil, err
 	}
-	s.Flush(h.Round())
-	return []*monitor.Report{m.Snapshot(scenario)}, nil
-}
-
-// writeReports renders every report into the destination. Text reports are
-// concatenated with a blank line; JSON emits an array document; CSV shares
-// one header with a leading label column.
-func writeReports(dest string, stdout io.Writer, format string, reports []*monitor.Report) error {
-	return writeDest(dest, stdout, func(w io.Writer) error {
-		switch format {
-		case "json":
-			return monitor.WriteJSONReports(w, reports)
-		case "csv":
-			cw := csv.NewWriter(w)
-			if err := cw.Write(monitor.CSVHeader("label")); err != nil {
-				return err
-			}
-			for _, rep := range reports {
-				if err := monitor.AppendCSV(cw, []string{rep.Label}, rep); err != nil {
-					return err
-				}
-			}
-			cw.Flush()
-			return cw.Error()
-		default:
-			for i, rep := range reports {
-				if i > 0 {
-					if _, err := io.WriteString(w, "\n"); err != nil {
-						return err
-					}
-				}
-				if err := monitor.WriteText(w, rep); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	})
-}
-
-// writeDest renders into a file, or stdout for "-". A failed render or
-// close removes the file instead of leaving a truncated artifact.
-func writeDest(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
+	if _, err := sess.Finish(); err != nil {
+		return nil, err
 	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
+	return []*monitor.Report{sess.Monitor.Snapshot(scenario)}, nil
 }

@@ -26,14 +26,8 @@ func writeRules(t *testing.T, name, content string) string {
 
 // tightRules fires on any scenario: no run sustains a million deliveries
 // per kcycle.
-const tightRules = `rules:
-  - name: impossible-floor
-    kind: rate
-    severity: page
-    match:
-      prefix: net_delivered_total
-    min: 1000000
-`
+const tightRules = `{"rules": [{"name": "impossible-floor", "kind": "rate", "severity": "page",
+  "match": {"prefix": "net_delivered_total"}, "min": 1000000}]}`
 
 // looseRules never fires.
 const looseRules = `{"rules": [{"name": "roomy-ceiling", "kind": "rate",
@@ -65,13 +59,8 @@ func fixtureTimeline(t *testing.T) string {
 }
 
 // closingRules opens on the stalled window and closes on recovery.
-const closingRules = `rules:
-  - name: floor
-    kind: rate
-    match:
-      prefix: net_delivered_total
-    min: 100
-`
+const closingRules = `{"rules": [{"name": "floor", "kind": "rate",
+  "match": {"prefix": "net_delivered_total"}, "min": 100}]}`
 
 func runTool(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -82,7 +71,7 @@ func runTool(t *testing.T, args ...string) (int, string, string) {
 
 // TestObsmonLiveViolation: a firing rule exits 3 and the report names it.
 func TestObsmonLiveViolation(t *testing.T) {
-	rules := writeRules(t, "tight.yaml", tightRules)
+	rules := writeRules(t, "tight.json", tightRules)
 	code, out, errOut := runTool(t, "-rules", rules, "-scenario", "cm5-finite", "-words", "64")
 	if code != 3 {
 		t.Fatalf("exit = %d, want 3; stderr:\n%s", code, errOut)
@@ -111,7 +100,7 @@ func TestObsmonLiveCompliant(t *testing.T) {
 // under -fail-on open, 3 under any, 0 under none.
 func TestObsmonFailOnPolicies(t *testing.T) {
 	tl := fixtureTimeline(t)
-	rules := writeRules(t, "closing.yaml", closingRules)
+	rules := writeRules(t, "closing.json", closingRules)
 	for _, tc := range []struct {
 		failOn string
 		want   int
@@ -128,7 +117,7 @@ func TestObsmonFailOnPolicies(t *testing.T) {
 // byte-identical reports in every format.
 func TestObsmonReplayDeterminism(t *testing.T) {
 	tl := fixtureTimeline(t)
-	rules := writeRules(t, "closing.yaml", closingRules)
+	rules := writeRules(t, "closing.json", closingRules)
 	for _, format := range []string{"text", "json", "csv"} {
 		_, a, _ := runTool(t, "-rules", rules, "-timeline", tl, "-format", format, "-fail-on", "none")
 		_, b, _ := runTool(t, "-rules", rules, "-timeline", tl, "-format", format, "-fail-on", "none")
@@ -145,7 +134,7 @@ func TestObsmonReplayDeterminism(t *testing.T) {
 // label column and one incident row.
 func TestObsmonFormats(t *testing.T) {
 	tl := fixtureTimeline(t)
-	rules := writeRules(t, "closing.yaml", closingRules)
+	rules := writeRules(t, "closing.json", closingRules)
 
 	_, jsonOut, _ := runTool(t, "-rules", rules, "-timeline", tl, "-format", "json", "-fail-on", "none")
 	var doc struct {
@@ -174,7 +163,7 @@ func TestObsmonFormats(t *testing.T) {
 // TestObsmonOutputFile: -o writes the report to a file.
 func TestObsmonOutputFile(t *testing.T) {
 	tl := fixtureTimeline(t)
-	rules := writeRules(t, "closing.yaml", closingRules)
+	rules := writeRules(t, "closing.json", closingRules)
 	dest := filepath.Join(t.TempDir(), "report.txt")
 	code, out, errOut := runTool(t, "-rules", rules, "-timeline", tl, "-fail-on", "none", "-o", dest)
 	if code != 0 {
@@ -203,11 +192,24 @@ func TestObsmonCanonicalRules(t *testing.T) {
 	}
 }
 
+// TestObsmonUntickedScenario: the single-packet scenario never ticks the
+// round clock, yet the live monitor evaluates its one closing window.
+func TestObsmonUntickedScenario(t *testing.T) {
+	code, out, errOut := runTool(t, "-rules", "canonical", "-scenario", "single", "-fail-on", "none")
+	if code != 0 {
+		t.Fatalf("exit = %d: %s", code, errOut)
+	}
+	if !strings.Contains(out, "windows: 1 ") {
+		t.Fatalf("report did not evaluate one window:\n%s", out)
+	}
+}
+
 // TestObsmonErrors covers flag and input validation exits.
 func TestObsmonErrors(t *testing.T) {
 	tl := fixtureTimeline(t)
-	rules := writeRules(t, "closing.yaml", closingRules)
-	bad := writeRules(t, "bad.yaml", "rules:\n  - name: x\n    kind: nosuch\n")
+	rules := writeRules(t, "closing.json", closingRules)
+	bad := writeRules(t, "bad.json", `{"rules": [{"name": "x", "kind": "nosuch"}]}`)
+	yaml := writeRules(t, "rules.yaml", "rules:\n  - name: x\n    kind: rate\n    min: 1\n")
 	cases := []struct {
 		name string
 		args []string
@@ -218,10 +220,11 @@ func TestObsmonErrors(t *testing.T) {
 		{"bad-format", []string{"-rules", rules, "-timeline", tl, "-format", "xml"}, 2},
 		{"bad-fail-on", []string{"-rules", rules, "-timeline", tl, "-fail-on", "sometimes"}, 2},
 		{"bad-rules", []string{"-rules", bad, "-timeline", tl}, 1},
-		{"missing-rules", []string{"-rules", "/nonexistent/rules.yaml", "-timeline", tl}, 1},
+		{"yaml-rules", []string{"-rules", yaml, "-timeline", tl}, 1},
+		{"missing-rules", []string{"-rules", "/nonexistent/rules.json", "-timeline", tl}, 1},
 		{"missing-timeline", []string{"-rules", rules, "-timeline", "/nonexistent/tl.json"}, 1},
 		{"bad-scenario", []string{"-rules", rules, "-scenario", "warpdrive"}, 1},
-		{"bad-interval", []string{"-rules", rules, "-scenario", "single", "-interval", "0"}, 1},
+		{"bad-interval", []string{"-rules", rules, "-scenario", "single", "-interval", "0"}, 2},
 	}
 	for _, tc := range cases {
 		code, _, errOut := runTool(t, tc.args...)

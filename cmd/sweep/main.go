@@ -24,11 +24,11 @@ import (
 	"strings"
 
 	"msglayer/internal/analytic"
+	"msglayer/internal/cli"
 	"msglayer/internal/cost"
 	"msglayer/internal/experiments"
 	"msglayer/internal/obs"
 	"msglayer/internal/parsweep"
-	"msglayer/internal/prof"
 	"msglayer/internal/report"
 )
 
@@ -56,10 +56,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	twinCol := fs.Bool("twin", false,
 		"run each point on the real simulator too and append sim-total and twin-err% columns (predicted vs measured; requires -ooo 0.5, the stream substrate's actual reorder fraction)")
 	csv := fs.Bool("csv", false, "emit CSV")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof allocation profile to this file at exit")
-	metricsOut := fs.String("metrics", "", "dump the per-point cost metrics to a file (\"-\" = stdout)")
-	traceOut := fs.String("trace-out", "", "dump a Chrome trace-event JSON, one span per sweep point (\"-\" = stdout)")
+	o := cli.NewFlags(fs)
+	o.ProfileFlags("the sweep")
+	o.MetricsFlag("the per-point cost metrics")
+	o.TraceFlag(", one span per sweep point")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -77,30 +77,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "sweep:", err)
 		return 1
 	}
-	// Profiles cover the whole run and finalize on every exit path; a
-	// profile that cannot be written is reported and removed, never left
-	// truncated.
-	if *cpuProfile != "" {
-		stop, err := prof.StartCPU(*cpuProfile)
-		if err != nil {
+	stopProfiles, err := o.StartProfiles()
+	if err != nil {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)
-			return 1
+			code = 1
 		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				code = 1
-			}
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := prof.WriteHeap(*memProfile); err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				code = 1
-			}
-		}()
-	}
+	}()
 	var selected []analytic.Protocol
 	if *protoArg == "" {
 		selected = []analytic.Protocol{analytic.ProtoIndefiniteCMAM, analytic.ProtoFiniteCMAM}
@@ -177,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// one registry series per (protocol, packet size) and one trace span
 	// per point, consumed in input order so dumps are byte-identical at
 	// any worker count.
-	if *metricsOut != "" || *traceOut != "" {
+	if o.Metrics != "" || o.TraceOut != "" {
 		hub := obs.NewHub()
 		for i, pt := range points {
 			n := sizes[i]
@@ -199,21 +186,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				})
 			}
 		}
-		if *metricsOut != "" {
-			if err := writeTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
+		if o.Metrics != "" {
+			if err := cli.WriteTo(o.Metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
 				fmt.Fprintln(stderr, "sweep:", err)
 				return 1
 			}
 		}
-		if *traceOut != "" {
-			if err := writeTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
+		if o.TraceOut != "" {
+			if err := cli.WriteTo(o.TraceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, "sweep:", err)
 				return 1
 			}
 		}
-		if d := hub.Trace.Dropped(); d > 0 {
-			fmt.Fprintf(stderr, "sweep: warning: trace dropped %d events; exported traces are truncated\n", d)
-		}
+		cli.WarnDropped(stderr, "sweep", hub, cli.Truncated)
 	}
 
 	title := fmt.Sprintf("Messaging cost vs packet size: %d-word message, ooo=%.2f, ack group %d",
@@ -224,27 +209,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	fmt.Fprint(stdout, report.Series(title, "n", names, points))
 	return 0
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/parsweep"
 	"msglayer/internal/twin"
 )
@@ -52,15 +53,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit JSON")
 	csvOut := fs.Bool("csv", false, "emit CSV (calibration report only)")
 	calibrate := fs.Bool("calibrate", false,
-		"sweep twin-vs-simulator across the committed grid and print the calibration report (byte-identical at any -parallel value and engine)")
+		"sweep twin-vs-simulator across the committed grid and print the calibration report (byte-identical at any -parallel value)")
 	record := fs.String("record", "", "calibrate and write the JSON accuracy baseline to this file")
 	compare := fs.String("compare", "", "calibrate and gate against the committed baseline in this file (exit 1 on any drift)")
 	fit := fs.Bool("fit", false, "re-simulate the knot loads and print the regenerated tables.go knot tables")
 	speedup := fs.Bool("speedup", false, "measure twin evaluation time against simulating the same point")
 	speedupFloor := fs.Float64("speedup-floor", 0, "with -speedup, fail unless the measured factor reaches this floor")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the simulation sweep (0 = GOMAXPROCS, 1 = serial)")
-	dense := fs.Bool("dense", false,
-		"simulate with the dense reference engine instead of the event-driven scheduler; results are byte-identical, only speed differs")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "twin: O(1) analytic predictions of the simulator, with calibration gating")
 		fs.PrintDefaults()
@@ -83,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	opt := twin.Options{Parallel: *parallel, Dense: *dense}
+	opt := twin.Options{Parallel: *parallel}
 	// Worker accounting goes to stderr: calibration stdout must stay
 	// byte-identical across -parallel values, since CI diffs it.
 	if modes > 0 {
@@ -100,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, src)
 		return 0
 	case *speedup:
-		return runSpeedup(opt, *speedupFloor, stdout, stderr)
+		return runSpeedup(*speedupFloor, stdout, stderr)
 	case *calibrate, *record != "", *compare != "":
 		return runCalibration(opt, *record, *compare, *jsonOut, *csvOut, stdout, stderr)
 	}
@@ -196,7 +195,7 @@ func runCalibration(opt twin.Options, record, compare string, jsonOut, csvOut bo
 	}
 	switch {
 	case record != "":
-		if err := writeTo(record, stdout, func(w io.Writer) error { return twin.WriteJSON(w, rep) }); err != nil {
+		if err := cli.WriteTo(record, stdout, func(w io.Writer) error { return twin.WriteJSON(w, rep) }); err != nil {
 			fmt.Fprintln(stderr, "twin:", err)
 			return 1
 		}
@@ -244,8 +243,8 @@ func runCalibration(opt twin.Options, record, compare string, jsonOut, csvOut bo
 }
 
 // runSpeedup handles -speedup.
-func runSpeedup(opt twin.Options, floor float64, stdout, stderr io.Writer) int {
-	s, err := twin.MeasureSpeedup(opt)
+func runSpeedup(floor float64, stdout, stderr io.Writer) int {
+	s, err := twin.MeasureSpeedup()
 	if err != nil {
 		fmt.Fprintln(stderr, "twin:", err)
 		return 1
@@ -275,25 +274,4 @@ func writeJSONValue(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// writeTo renders into dest, treating "-" as stdout; a failed render never
-// leaves a truncated file behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }

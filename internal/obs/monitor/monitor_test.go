@@ -372,55 +372,46 @@ func TestMonitorQuantileReplay(t *testing.T) {
 	}
 }
 
-// TestParseRulesJSONAndYAML: both syntaxes produce the same set, and the
-// evaluation agrees.
-func TestParseRulesJSONAndYAML(t *testing.T) {
-	jsonSrc := `{
+// TestParseRulesJSON: a JSON document decodes every rule field, and the
+// parsed set round-trips through its own JSON encoding unchanged.
+func TestParseRulesJSON(t *testing.T) {
+	src := `{
   "rules": [
     {"name": "floor", "kind": "rate", "match": {"prefix": "net_delivered_total"}, "min": 100, "for_windows": 2},
     {"name": "lat", "kind": "quantile", "match": {"prefix": "transfer_latency_rounds", "contains": ["proto=\"cr\""]}, "quantile": "p90", "max": 64},
     {"name": "burn", "kind": "burn", "num": {"prefix": "errors_total"}, "den": {"prefix": "requests_total"}, "budget_permille": 50}
   ]
 }`
-	yamlSrc := `# same rules in the yaml subset
-rules:
-  - name: floor
-    kind: rate
-    match:
-      prefix: net_delivered_total
-    min: 100
-    for_windows: 2
-  - name: lat
-    kind: quantile
-    match:
-      prefix: transfer_latency_rounds
-      contains: ['proto="cr"']
-    quantile: p90
-    max: 64
-  - name: burn
-    kind: burn
-    num:
-      prefix: errors_total
-    den:
-      prefix: requests_total
-    budget_permille: 50
-`
-	a, err := ParseRules([]byte(jsonSrc))
+	a, err := ParseRules([]byte(src))
 	if err != nil {
-		t.Fatalf("json: %v", err)
+		t.Fatal(err)
 	}
-	b, err := ParseRules([]byte(yamlSrc))
+	if len(a.Rules) != 3 {
+		t.Fatalf("got %d rules, want 3", len(a.Rules))
+	}
+	floor, lat, burn := a.Rules[0], a.Rules[1], a.Rules[2]
+	if floor.Kind != KindRate || floor.Min == nil || *floor.Min != 100 || floor.ForWindows != 2 {
+		t.Errorf("floor rule = %+v", floor)
+	}
+	if lat.Quantile != "p90" || lat.Max == nil || *lat.Max != 64 || len(lat.Match.Contains) != 1 || lat.Match.Contains[0] != `proto="cr"` {
+		t.Errorf("lat rule = %+v", lat)
+	}
+	if burn.Num.Prefix != "errors_total" || burn.Den.Prefix != "requests_total" || burn.BudgetPermille != 50 {
+		t.Errorf("burn rule = %+v", burn)
+	}
+	enc, err := json.Marshal(a)
 	if err != nil {
-		t.Fatalf("yaml: %v", err)
+		t.Fatal(err)
 	}
-	if len(a.Rules) != len(b.Rules) {
-		t.Fatalf("rule counts differ: %d vs %d", len(a.Rules), len(b.Rules))
+	b, err := ParseRules(enc)
+	if err != nil {
+		t.Fatalf("re-parse: %v", err)
 	}
 	for i := range a.Rules {
 		aj, _ := jsonMarshal(a.Rules[i])
 		bj, _ := jsonMarshal(b.Rules[i])
 		if aj != bj {
-			t.Errorf("rule %d differs:\n json: %s\n yaml: %s", i, aj, bj)
+			t.Errorf("rule %d changed on round trip:\n first: %s\n again: %s", i, aj, bj)
 		}
 	}
 }
@@ -441,8 +432,12 @@ func TestParseRulesRejects(t *testing.T) {
 		{"rate-no-bound", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}}]}`, "max and/or min"},
 		{"burn-no-den", `{"rules": [{"name": "a", "kind": "burn", "num": {"prefix": "x"}, "budget_permille": 1}]}`, "num and den"},
 		{"unknown-field", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}, "min": 1, "oops": 2}]}`, "unknown field"},
-		{"yaml-tab", "rules:\n\t- name: a", "tabs"},
-		{"yaml-junk", "rules:\n  - name: a\n bad", "outside the root block"},
+		// Only JSON is accepted; YAML documents and any other text are
+		// rejected before decoding.
+		{"yaml-tab", "rules:\n\t- name: a", "must be a JSON object"},
+		{"yaml-junk", "rules:\n  - name: a\n bad", "must be a JSON object"},
+		{"non-json", "rules:\n  - name: floor\n    kind: rate\n    min: 1\n", "must be a JSON object"},
+		{"blank", " \n\t", "must be a JSON object"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -181,22 +181,13 @@ func (rs *RuleSet) validate() error {
 	return nil
 }
 
-// ParseRules parses a rules document: strict JSON when the first
-// non-space byte is '{', otherwise the YAML subset yamlToAny documents.
+// ParseRules parses a JSON rules document, {"rules": [...]}. Anything
+// else — YAML included — is rejected before decoding, with an error that
+// says so.
 func ParseRules(data []byte) (*RuleSet, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	var raw []byte
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		raw = trimmed
-	} else {
-		v, err := yamlToAny(data)
-		if err != nil {
-			return nil, err
-		}
-		raw, err = json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("monitor: yaml restructure: %w", err)
-		}
+	raw := bytes.TrimLeft(data, " \t\r\n")
+	if len(raw) == 0 || raw[0] != '{' {
+		return nil, fmt.Errorf(`monitor: rules must be a JSON object ({"rules": [...]})`)
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()

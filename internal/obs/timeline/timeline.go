@@ -205,6 +205,19 @@ func (s *Sampler) Flush(now uint64) {
 	s.flushed = true
 }
 
+// Finish is the one way an observed run closes its timeline: it flushes at
+// cycle now, clamped to at least 1 so a run that never ticked its clock
+// (a single-packet delivery) still closes one window holding all its
+// deltas, audits the windows against the registry with Reconcile, and
+// returns the snapshot.
+func (s *Sampler) Finish(now uint64) (*Timeline, error) {
+	s.Flush(max(now, 1))
+	if err := s.Reconcile(); err != nil {
+		return nil, err
+	}
+	return s.Snapshot(), nil
+}
+
 // Reset discards all closed windows, keeping their capacity, re-baselines
 // every tracked series at its current value, and restarts the clock at the
 // first boundary after now. It exists for steady-state reuse (benchmarks,

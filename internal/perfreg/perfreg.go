@@ -26,7 +26,6 @@ import (
 	"msglayer/internal/cost"
 	"msglayer/internal/experiments"
 	"msglayer/internal/flitnet"
-	"msglayer/internal/network"
 	"msglayer/internal/obs"
 	"msglayer/internal/obs/monitor"
 	"msglayer/internal/obs/timeline"
@@ -184,14 +183,10 @@ func recordProtocolScenario(name string) (*ScenarioResult, error) {
 		return nil, err
 	}
 	// The single-packet scenario never enters the observed run loop, so the
-	// hub's round clock stays at zero; flushing at round 1 puts its whole
-	// run in one partial window instead of losing it.
-	end := hub.Round()
-	if end == 0 {
-		end = 1
-	}
-	sampler.Flush(end)
-	if err := sampler.Reconcile(); err != nil {
+	// hub's round clock stays at zero; Finish's clamp to round 1 puts its
+	// whole run in one partial window instead of losing it.
+	tl, err := sampler.Finish(hub.Round())
+	if err != nil {
 		return nil, err
 	}
 	sim := simFromCells(cells)
@@ -200,7 +195,6 @@ func recordProtocolScenario(name string) (*ScenarioResult, error) {
 		sim["packets/sent"] += hub.Metrics.CounterValue(obs.Key{Name: "packets_sent_total", Node: node, Proto: "cmam"})
 		sim["packets/received"] += hub.Metrics.CounterValue(obs.Key{Name: "packets_received_total", Node: node, Proto: "cmam"})
 	}
-	tl := sampler.Snapshot()
 	sim["timeline/digest"] = tl.DigestValue
 	sim["timeline/windows"] = uint64(len(tl.Windows))
 
@@ -341,10 +335,6 @@ const (
 // listener, and the reconciled timeline's digest and window count join the
 // returned map.
 func runNetloadPoint(cycles int, observe bool) (map[string]uint64, error) {
-	pattern, err := workload.ByName("uniform")
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[string]uint64)
 	for _, mode := range []flitnet.Mode{flitnet.Deterministic, flitnet.Adaptive, flitnet.CR} {
 		topo, err := topology.NewFatTree(4, 2)
@@ -368,37 +358,20 @@ func runNetloadPoint(cycles int, observe bool) (map[string]uint64, error) {
 			sampler = timeline.New(hub.Metrics, timeline.Config{Interval: netTimelineInterval})
 			net.SetCycleListener(sampler.Advance)
 		}
-		nodes := net.Nodes()
-		gen, err := workload.NewGenerator(pattern, nodes, netloadLoad, netloadSeed)
+		gen, err := workload.NewGenerator(workload.Uniform{}, net.Nodes(), netloadLoad, netloadSeed)
 		if err != nil {
 			return nil, err
 		}
-		for c := 0; c < cycles; c++ {
-			for _, a := range gen.Cycle() {
-				// Refused injections are part of the measurement.
-				_ = net.Inject(network.Packet{
-					Src: a.Src, Dst: a.Dst,
-					Data: []network.Word{network.Word(c)},
-				})
-			}
-			net.Tick(1)
-		}
-		net.TickUntilQuiet(200000)
-		for node := 0; node < nodes; node++ {
-			for {
-				if _, ok := net.TryRecv(node); !ok {
-					break
-				}
-			}
+		if !workload.Drive(net, gen, cycles) {
+			return nil, fmt.Errorf("%s: the network did not drain", mode)
 		}
 		st := net.FlitStats()
 		prefix := "net/" + mode.String() + "/"
 		if sampler != nil {
-			sampler.Flush(net.Cycle())
-			if err := sampler.Reconcile(); err != nil {
+			tl, err := sampler.Finish(net.Cycle())
+			if err != nil {
 				return nil, fmt.Errorf("%s: %w", mode, err)
 			}
-			tl := sampler.Snapshot()
 			out[prefix+"timeline_digest"] = tl.DigestValue
 			out[prefix+"timeline_windows"] = uint64(len(tl.Windows))
 			// The canonical SLO rules replay over the same timeline; the

@@ -10,7 +10,6 @@ import (
 
 	"msglayer/internal/experiments"
 	"msglayer/internal/flitnet"
-	"msglayer/internal/network"
 	"msglayer/internal/parsweep"
 	"msglayer/internal/report"
 	"msglayer/internal/topology"
@@ -51,13 +50,10 @@ func CalLoads() []float64 {
 var protoCalWords = []int{16, 64, 256, 1024}
 
 // Options parameterize a calibration run. The results are byte-identical
-// at any option values: the worker count changes wall clock only, and the
-// dense engine is byte-equivalent to the event-driven one.
+// at any option values: the worker count changes wall clock only.
 type Options struct {
 	// Parallel is the worker count for the simulation sweep (0 = GOMAXPROCS).
 	Parallel int
-	// Dense selects the dense reference engine.
-	Dense bool
 }
 
 // NetRow is one network grid point of the calibration report.
@@ -134,9 +130,10 @@ type netSample struct {
 }
 
 // simulateNet runs one calibration point on the real simulator, exactly
-// the way cmd/netload measures it (1-word payloads, BufferFlits 3,
-// InjectQueue 8, refused injections part of the measurement).
-func simulateNet(r Regime, load float64, opt Options) (netSample, error) {
+// the way cmd/netload measures it (workload.Drive, BufferFlits 3,
+// InjectQueue 8). A point that does not drain is an error: its rates would
+// cover only the delivered packets.
+func simulateNet(r Regime, load float64) (netSample, error) {
 	var topo topology.Topology
 	var err error
 	switch r.Topology {
@@ -156,33 +153,17 @@ func simulateNet(r Regime, load float64, opt Options) (netSample, error) {
 		BufferFlits:     3,
 		InjectQueue:     8,
 		VirtualChannels: r.VCs,
-		DenseReference:  opt.Dense,
 	})
 	if err != nil {
 		return netSample{}, err
 	}
-	pattern, err := workload.ByName("uniform")
-	if err != nil {
-		return netSample{}, err
-	}
 	nodes := net.Nodes()
-	gen, err := workload.NewGenerator(pattern, nodes, load, CalSeed)
+	gen, err := workload.NewGenerator(workload.Uniform{}, nodes, load, CalSeed)
 	if err != nil {
 		return netSample{}, err
 	}
-	for c := 0; c < CalCycles; c++ {
-		for _, a := range gen.Cycle() {
-			_ = net.Inject(network.Packet{Src: a.Src, Dst: a.Dst, Data: []network.Word{network.Word(c)}})
-		}
-		net.Tick(1)
-	}
-	net.TickUntilQuiet(200000)
-	for node := 0; node < nodes; node++ {
-		for {
-			if _, ok := net.TryRecv(node); !ok {
-				break
-			}
-		}
+	if !workload.Drive(net, gen, CalCycles) {
+		return netSample{}, fmt.Errorf("twin: %s load %g did not drain", r, load)
 	}
 	st := net.FlitStats()
 	return netSample{
@@ -210,7 +191,7 @@ func cellsTotal(cells report.Cells) uint64 { return cells.Total().Total() }
 // Calibrate sweeps twin-vs-simulator across the committed grid and returns
 // the deterministic calibration report. The simulation side fans across a
 // parsweep pool; results are reassembled in input order, so the report is
-// byte-identical at any worker count and engine.
+// byte-identical at any worker count.
 func Calibrate(opt Options) (*Report, error) {
 	workers := parsweep.Workers(opt.Parallel)
 	regimes := CalibratedRegimes()
@@ -227,7 +208,7 @@ func Calibrate(opt Options) (*Report, error) {
 	samples := make([]netSample, jobs)
 	err := parsweep.Run(workers, jobs, func(i int) error {
 		r, load := regimes[i/len(loads)], loads[i%len(loads)]
-		s, err := simulateNet(r, load, opt)
+		s, err := simulateNet(r, load)
 		if err != nil {
 			return fmt.Errorf("%s load %g: %w", r, load, err)
 		}
@@ -442,7 +423,7 @@ func Fit(opt Options) (string, error) {
 	samples := make([]netSample, jobs)
 	err := parsweep.Run(workers, jobs, func(i int) error {
 		r, load := regimes[i/CalKnots], calKnotLoads[i%CalKnots]
-		s, err := simulateNet(r, load, opt)
+		s, err := simulateNet(r, load)
 		if err != nil {
 			return fmt.Errorf("%s load %g: %w", r, load, err)
 		}

@@ -30,7 +30,7 @@ var (
 // testing.Benchmark on both sides. The factor is wall-clock and therefore
 // not deterministic; it belongs in logs and EXPERIMENTS.md, never in the
 // byte-compared calibration report.
-func MeasureSpeedup(opt Options) (Speedup, error) {
+func MeasureSpeedup() (Speedup, error) {
 	regimes := CalibratedRegimes()
 	if len(regimes) == 0 {
 		return Speedup{}, fmt.Errorf("twin: no calibrated regimes")
@@ -41,12 +41,12 @@ func MeasureSpeedup(opt Options) (Speedup, error) {
 	if _, err := pt.PredictNet(); err != nil {
 		return Speedup{}, err
 	}
-	if _, err := simulateNet(r, pt.Load, opt); err != nil {
+	if _, err := simulateNet(r, pt.Load); err != nil {
 		return Speedup{}, err
 	}
 	sim := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, err := simulateNet(r, pt.Load, opt)
+			s, err := simulateNet(r, pt.Load)
 			if err != nil {
 				b.Fatal(err)
 			}

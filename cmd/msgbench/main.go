@@ -1,5 +1,8 @@
 // Command msgbench regenerates the paper's tables and figures from the
 // simulation, printing each result alongside the paper's published value.
+// With -scenario it instead runs the canonical transfer scenarios into the
+// observers, the one way to get their metrics, traces, critical-path
+// reports, timelines and SLO reports.
 //
 // Usage:
 //
@@ -10,9 +13,11 @@
 //	msgbench -parallel 4      # fan the experiments over 4 workers
 //	msgbench -quiet           # only the paper-vs-measured summary
 //	msgbench -json            # machine-readable result summary on stdout
-//	msgbench -metrics m.txt   # dump runtime metrics ("-" = stdout)
+//	msgbench -scenario cm5-finite,cr-stream -words 256  # canonical scenarios instead
+//	msgbench -metrics m.txt   # dump runtime metrics ("-" = stdout; .json for JSON)
 //	msgbench -trace-out t.json  # dump a Chrome trace of the runs
-//	msgbench -critpath cp.txt # per-message critical-path attribution ("-" = stdout)
+//	msgbench -critpath cp.txt # per-message critical-path attribution ("-" = stdout; .json for JSON)
+//	msgbench -flow flow.json  # Chrome trace with per-message flow arrows
 //	msgbench -timeline-out tl.json  # windowed metrics timeline (.csv for CSV)
 //	msgbench -slo rules.json  # evaluate SLO rules live; exit 3 on violation
 //	msgbench -serve :8080     # live /metrics, /snapshot, /trace, /debug/pprof/
@@ -20,10 +25,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"msglayer/internal/cli"
 	"msglayer/internal/critpath"
@@ -36,6 +44,18 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// reconcile gates the -critpath report. It is a variable only so tests can
+// make it fail.
+var reconcile = critpath.Reconcile
+
+// partial is the WarnDropped effect for a critical-path report built from
+// a truncated trace.
+const partial = "critical-path report is partial and skips reconciliation"
+
+// paperOnly are the flags only the paper's experiments use; a -scenario run
+// would ignore them.
+var paperOnly = []string{"table", "figure", "ablations", "json", "quiet", "parallel"}
 
 // jsonComparison is one paper-vs-measured row of the -json summary.
 type jsonComparison struct {
@@ -74,7 +94,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o.MetricsFlag("runtime metrics after the runs")
 	o.TraceFlag(" of the runs")
 	critpathOut := fs.String("critpath", "",
-		"write a per-message critical-path attribution report of the runs (\"-\" = stdout)")
+		"write a per-message critical-path attribution report of the runs, reconciled exactly against the registry counters (\"-\" = stdout; a .json suffix selects JSON, otherwise text)")
+	flowOut := fs.String("flow", "", "write a Chrome trace of the runs with per-message flow arrows (\"-\" = stdout)")
+	scenarioArg := fs.String("scenario", "",
+		"run these canonical scenarios in order (comma-separated, or \"all\": "+strings.Join(experiments.CanonicalScenarios(), ", ")+
+			") instead of the paper's tables and figures; stdout carries only the artifacts sent to \"-\"")
+	words := fs.Int("words", 64, "transfer size in words for -scenario")
 	o.ServeFlag("and keep serving after the runs until interrupted")
 	o.TimelineFlags("sample the runs' metrics into windowed deltas on the machine-round clock and write the timeline",
 		100, "machine rounds")
@@ -83,6 +108,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if err := o.Check(); err != nil {
+		fmt.Fprintln(stderr, "msgbench:", err)
+		return 2
+	}
+	scenarios, err := parseScenarios(fs, *scenarioArg, *words)
+	if err != nil {
 		fmt.Fprintln(stderr, "msgbench:", err)
 		return 2
 	}
@@ -100,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// crosses interval boundaries across all experiments. The SLO monitor
 	// evaluates each window live as it closes.
 	var sess *cli.Session
-	if o.Metrics != "" || o.TraceOut != "" || *critpathOut != "" || o.Serve != "" || o.TimelineOut != "" || rules != nil {
+	if o.Metrics != "" || o.TraceOut != "" || *critpathOut != "" || *flowOut != "" || o.Serve != "" || o.TimelineOut != "" || rules != nil {
 		sess, err = cli.NewSession(cli.SessionConfig{
 			Timeline: o.TimelineOut != "",
 			Interval: uint64(o.TimelineInterval),
@@ -127,6 +157,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -serve they run under the server's lock, serialized vs the handlers.
 	runAll := func() {
 		switch {
+		case scenarios != nil:
+			for _, name := range scenarios {
+				if _, err = experiments.RunCanonical(name, *words); err != nil {
+					err = fmt.Errorf("%s: %w", name, err)
+					return
+				}
+			}
 		case *table == 1:
 			results, err = one(experiments.Table1)
 		case *table == 2:
@@ -156,14 +193,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tl *timeline.Timeline
 	var rep *monitor.Report
 	if sess != nil {
+		label := "msgbench"
+		if scenarios != nil {
+			label = *scenarioArg
+		}
 		srv.Sync(func() {
 			if tl, err = sess.Finish(); err == nil && sess.Monitor != nil {
-				rep = sess.Monitor.Snapshot("msgbench")
+				rep = sess.Monitor.Snapshot(label)
 			}
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "msgbench:", err)
 			return 1
+		}
+		// A trace that dropped events cannot reconcile against the
+		// registry; its report is partial instead of failing the run.
+		if *critpathOut != "" && !cli.WarnDropped(stderr, "msgbench", sess.Hub, partial) {
+			if err := reconcile(sess.Hub); err != nil {
+				fmt.Fprintln(stderr, "msgbench: critpath reconciliation failed:", err)
+				return 1
+			}
 		}
 	}
 
@@ -215,7 +264,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if sess != nil {
 		hub := sess.Hub
 		if o.Metrics != "" {
-			if err := cli.WriteTo(o.Metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
+			if err := cli.WriteMetrics(o.Metrics, stdout, hub.Metrics); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
@@ -228,9 +277,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *critpathOut != "" {
 			render := func(w io.Writer) error {
-				return critpath.WriteText(w, critpath.Analyze(hub.Trace.Events()))
+				a := critpath.Analyze(hub.Trace.Events())
+				if cli.Format(*critpathOut) != "json" {
+					return critpath.WriteText(w, a)
+				}
+				js, err := critpath.JSON(a)
+				if err != nil {
+					return err
+				}
+				_, err = w.Write(append(js, '\n'))
+				return err
 			}
 			if err := cli.WriteTo(*critpathOut, stdout, render); err != nil {
+				fmt.Fprintln(stderr, "msgbench:", err)
+				return 1
+			}
+		}
+		if *flowOut != "" {
+			render := func(w io.Writer) error { return critpath.WriteChromeFlow(w, hub.Trace.Events()) }
+			if err := cli.WriteTo(*flowOut, stdout, render); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
@@ -283,4 +348,37 @@ func one(runOne func() (experiments.Result, error)) ([]experiments.Result, error
 		return nil, err
 	}
 	return []experiments.Result{r}, nil
+}
+
+// parseScenarios resolves -scenario into the canonical scenario names to
+// run, or nil for the paper's experiments, and rejects the flags that would
+// do nothing in the chosen mode.
+func parseScenarios(fs *flag.FlagSet, arg string, words int) ([]string, error) {
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["scenario"] {
+		if set["words"] {
+			return nil, errors.New("-words needs -scenario")
+		}
+		return nil, nil
+	}
+	for _, name := range paperOnly {
+		if set[name] {
+			return nil, fmt.Errorf("-scenario cannot be combined with -%s", name)
+		}
+	}
+	if words < 1 {
+		return nil, errors.New("-words must be positive")
+	}
+	known := experiments.CanonicalScenarios()
+	if arg == "all" {
+		return known, nil
+	}
+	names := strings.Split(arg, ",")
+	for _, name := range names {
+		if !slices.Contains(known, name) {
+			return nil, fmt.Errorf("unknown scenario %q (want all, or some of %s)", name, strings.Join(known, ", "))
+		}
+	}
+	return names, nil
 }

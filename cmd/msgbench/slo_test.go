@@ -41,8 +41,7 @@ func TestObsMsgbenchSLOCompliant(t *testing.T) {
 // TestObsMsgbenchSLOViolation: an impossible floor fires live and the run
 // exits 3, after the report is written.
 func TestObsMsgbenchSLOViolation(t *testing.T) {
-	rules := sloRules(t, "tight.json", `{"rules": [{"name": "impossible-floor", "kind": "rate", "severity": "page",
-  "match": {"prefix": "net_delivered_total"}, "min": 1000000}]}`)
+	rules := sloRules(t, "tight.json", tightRules)
 	sloPath := filepath.Join(t.TempDir(), "slo.txt")
 	var out, errOut strings.Builder
 	code := run([]string{"-figure", "6", "-quiet", "-slo", rules, "-slo-out", sloPath}, &out, &errOut)
@@ -115,5 +114,70 @@ func TestObsMsgbenchSLODeterminism(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Fatalf("SLO report not deterministic:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// tightRules fires on any run: nothing sustains a million deliveries per
+// kcycle.
+const tightRules = `{"rules": [{"name": "impossible-floor", "kind": "rate", "severity": "page",
+  "match": {"prefix": "net_delivered_total"}, "min": 1000000}]}`
+
+// TestObsMsgbenchScenarioSLOViolation: a rule that fires on a scenario run
+// exits 3, and the report on stdout is labelled with the scenario.
+func TestObsMsgbenchScenarioSLOViolation(t *testing.T) {
+	rules := sloRules(t, "tight.json", tightRules)
+	var out, errOut strings.Builder
+	code := run([]string{"-scenario", "cm5-finite", "-slo", rules, "-timeline-interval", "8"}, &out, &errOut)
+	if code != 3 {
+		t.Fatalf("exit = %d, want 3; stderr:\n%s", code, errOut.String())
+	}
+	for _, want := range []string{"# slo report: cm5-finite", "rule impossible-floor", "FIRING"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("report missing %q:\n%s", want, out.String())
+		}
+	}
+	if !strings.Contains(errOut.String(), "SLO violated") {
+		t.Fatalf("stderr missing violation notice:\n%s", errOut.String())
+	}
+}
+
+// TestObsMsgbenchScenarioSLOCompliant: a loose rule holds on a scenario
+// run, which exits 0.
+func TestObsMsgbenchScenarioSLOCompliant(t *testing.T) {
+	rules := sloRules(t, "loose.json", `{"rules": [{"name": "roomy-ceiling", "kind": "rate",
+  "match": {"prefix": "net_delivered_total"}, "max": 1000000000}]}`)
+	var out, errOut strings.Builder
+	if code := run([]string{"-scenario", "cm5-finite", "-slo", rules, "-timeline-interval", "8"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "0 incident(s), ok") {
+		t.Fatalf("report missing compliant rule:\n%s", out.String())
+	}
+}
+
+// TestObsMsgbenchScenarioSLOCanonical: the built-in rule set holds on
+// every canonical scenario.
+func TestObsMsgbenchScenarioSLOCanonical(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-scenario", "all", "-slo", "canonical", "-timeline-interval", "8"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errOut.String())
+	}
+	for _, want := range []string{"# slo report: all", "delivery-floor"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("canonical report missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestObsMsgbenchScenarioSLOUnticked: the single-packet scenario never
+// ticks the round clock, yet the live monitor evaluates its one closing
+// window.
+func TestObsMsgbenchScenarioSLOUnticked(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-scenario", "single", "-slo", "canonical", "-timeline-interval", "8"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "windows: 1 ") {
+		t.Fatalf("report did not evaluate one window:\n%s", out.String())
 	}
 }

@@ -13,12 +13,12 @@
 //	netload -loads 0.05,0.1,0.2        # custom offered loads (pkts/node/cycle)
 //	netload -cycles 4000 -csv
 //	netload -parallel 8                # fan the load/mode grid over 8 workers
-//	netload -metrics m.txt             # dump flit-level metrics ("-" = stdout)
+//	netload -metrics m.txt             # dump flit-level metrics ("-" = stdout; .json for JSON)
 //	netload -trace-out t.json          # Chrome trace with one span per point
 //	netload -timeline-out tl.json      # windowed metrics timeline per point (.csv for CSV)
 //	netload -cpuprofile cpu.out        # pprof CPU profile of the sweep
 //	netload -memprofile mem.out        # pprof allocation profile at exit
-//	netload -critpath cp.txt           # per-worm critical-path attribution ("-" = stdout)
+//	netload -critpath cp.txt           # per-worm critical-path attribution ("-" = stdout; .json for JSON)
 //	netload -slo rules.json            # evaluate SLO rules per point; exit 3 on violation
 package main
 
@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	o.ServeFlag("during the sweep, then until interrupted; SIGINT shuts down cleanly")
 	o.ProfileFlags("the sweep")
 	critpathOut := fs.String("critpath", "",
-		"trace every worm's transit and write a per-message critical-path attribution report (\"-\" = stdout); reconciled exactly against per-point counters")
+		"trace every worm's transit and write a per-message critical-path attribution report (\"-\" = stdout; a .json suffix selects JSON, otherwise text); reconciled exactly against per-point counters")
 	o.TimelineFlags("sample every point's metrics into simulated-cycle windows, add a per-phase analysis to the text report, and write the timelines",
 		100, "simulated cycles")
 	twinCols := fs.Bool("twin", false,
@@ -274,23 +274,51 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *critpathOut != "" {
+		// A .json destination gets every point's report in point order, in
+		// the {"flit": [...]} shape obsdiff loads; otherwise text sections.
+		type flitReport struct {
+			Mode   string          `json:"mode"`
+			Load   float64         `json:"load"`
+			Report json.RawMessage `json:"report"`
+		}
+		asJSON := cli.Format(*critpathOut) == "json"
 		err := cli.WriteTo(*critpathOut, stdout, func(w io.Writer) error {
+			flit := []flitReport{}
 			for i := 0; i < prefix; i++ {
 				res := results[i]
 				if res.hub == nil {
 					continue
 				}
+				mode, load := modes[i%len(modes)], loads[i/len(modes)]
 				if err := critpath.Reconcile(res.hub); err != nil {
-					return fmt.Errorf("point %d (%s load %.2f): %w",
-						i, modes[i%len(modes)], loads[i/len(modes)], err)
+					return fmt.Errorf("point %d (%s load %.2f): %w", i, mode, load, err)
 				}
-				fmt.Fprintf(w, "== %s routing, load %.2f ==\n", modes[i%len(modes)], loads[i/len(modes)])
-				if err := critpath.WriteText(w, critpath.Analyze(res.hub.Trace.Events())); err != nil {
+				a := critpath.Analyze(res.hub.Trace.Events())
+				if asJSON {
+					js, err := critpath.JSON(a)
+					if err != nil {
+						return err
+					}
+					flit = append(flit, flitReport{mode.String(), load, js})
+					continue
+				}
+				fmt.Fprintf(w, "== %s routing, load %.2f ==\n", mode, load)
+				if err := critpath.WriteText(w, a); err != nil {
 					return err
 				}
 				fmt.Fprintln(w)
 			}
-			return nil
+			if !asJSON {
+				return nil
+			}
+			out, err := json.MarshalIndent(struct {
+				Flit []flitReport `json:"flit"`
+			}{flit}, "", "  ")
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(append(out, '\n'))
+			return err
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "netload:", err)
@@ -388,7 +416,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	if hub != nil {
 		if o.Metrics != "" {
-			if err := cli.WriteTo(o.Metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
+			if err := cli.WriteMetrics(o.Metrics, stdout, hub.Metrics); err != nil {
 				fmt.Fprintln(stderr, "netload:", err)
 				return 1
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -419,26 +420,29 @@ func TestObsDenseMatchesEventDriven(t *testing.T) {
 	}
 }
 
-// TestObsNetloadCritpath exercises -critpath: every sweep point gets a
-// reconciled attribution report, and the report is byte-identical across
-// worker counts.
-func TestObsNetloadCritpath(t *testing.T) {
-	renderCP := func(extra ...string) string {
-		dir := t.TempDir()
-		cpPath := filepath.Join(dir, "cp.txt")
-		var out, errOut strings.Builder
-		args := append([]string{"-loads", "0.05,0.2", "-cycles", "300", "-k", "2", "-levels", "2",
-			"-critpath", cpPath}, extra...)
-		if code := run(args, &out, &errOut); code != 0 {
-			t.Fatalf("%v: exit %d: %s", extra, code, errOut.String())
-		}
-		b, err := os.ReadFile(cpPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+// renderCritpath runs a small sweep with -critpath into a file named name
+// (its suffix picks text or JSON) and returns the report.
+func renderCritpath(t *testing.T, name string, extra ...string) string {
+	t.Helper()
+	cpPath := filepath.Join(t.TempDir(), name)
+	var out, errOut strings.Builder
+	args := append([]string{"-loads", "0.05,0.2", "-cycles", "300", "-k", "2", "-levels", "2",
+		"-critpath", cpPath}, extra...)
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("%v: exit %d: %s", extra, code, errOut.String())
 	}
-	base := renderCP()
+	b, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestObsNetloadCritpath exercises -critpath: every sweep point gets a
+// reconciled attribution report, and a .json destination writes every
+// point's report in point order, in the shape obsdiff loads.
+func TestObsNetloadCritpath(t *testing.T) {
+	base := renderCritpath(t, "cp.txt")
 	for _, want := range []string{
 		"== deterministic routing, load 0.05 ==",
 		"== cr routing, load 0.20 ==",
@@ -449,8 +453,98 @@ func TestObsNetloadCritpath(t *testing.T) {
 			t.Errorf("critpath report missing %q", want)
 		}
 	}
-	if got := renderCP("-parallel", "8"); got != base {
-		t.Error("critpath report differs between -parallel 1 and -parallel 8")
+
+	js := renderCritpath(t, "cp.json")
+	var doc struct {
+		Flit []struct {
+			Mode   string          `json:"mode"`
+			Load   float64         `json:"load"`
+			Report json.RawMessage `json:"report"`
+		} `json:"flit"`
+	}
+	if err := json.Unmarshal([]byte(js), &doc); err != nil {
+		t.Fatalf("JSON critpath report does not parse: %v", err)
+	}
+	var order []string
+	for _, p := range doc.Flit {
+		order = append(order, fmt.Sprintf("%s/%.2f", p.Mode, p.Load))
+	}
+	want := "deterministic/0.05 adaptive/0.05 cr/0.05 deterministic/0.20 adaptive/0.20 cr/0.20"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("points = %s, want %s", got, want)
+	}
+	art, err := diff.LoadArtifactBytes("cp.json", []byte(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Critpath) != 6 {
+		t.Errorf("obsdiff loads %d reports, want 6", len(art.Critpath))
+	}
+	rep, err := diff.CompareArtifacts(art, art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Zero() {
+		t.Error("JSON critpath report does not self-diff to zero")
+	}
+}
+
+// TestCritpathIdenticalAcrossWorkers holds the -critpath report, text and
+// JSON, to the repo's parallelism contract: -parallel 1 and a fanned-out
+// pool produce the same bytes.
+func TestCritpathIdenticalAcrossWorkers(t *testing.T) {
+	for _, name := range []string{"cp.txt", "cp.json"} {
+		serial := renderCritpath(t, name, "-parallel", "1")
+		if fanned := renderCritpath(t, name, "-parallel", "8"); fanned != serial {
+			t.Errorf("%s: critpath report differs between -parallel 1 and -parallel 8", name)
+		}
+	}
+}
+
+// TestCritpathIdenticalAcrossEngines holds the -critpath report, text and
+// JSON, to the flit-engine contract: the dense reference and the
+// event-driven engine trace identically.
+func TestCritpathIdenticalAcrossEngines(t *testing.T) {
+	t.Cleanup(func() { denseEngine = false })
+	for _, name := range []string{"cp.txt", "cp.json"} {
+		event := renderCritpath(t, name)
+		denseEngine = true
+		dense := renderCritpath(t, name)
+		denseEngine = false
+		if dense != event {
+			t.Errorf("%s: critpath report differs between event-driven and dense engines", name)
+		}
+	}
+}
+
+// TestCritpathFlagValidationTable: with -critpath set, explicitly-set
+// non-positive pool sizes error out with a clear message instead of
+// silently falling back to auto-sizing, the removed -shards flag is
+// rejected as undefined, and a zero timeline window (which could never
+// close) is a usage error, exit 2.
+func TestCritpathFlagValidationTable(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		code int
+		want string
+	}{
+		{"zero parallel", []string{"-parallel", "0"}, 1, "must be a positive count"},
+		{"negative parallel", []string{"-parallel", "-2"}, 1, "must be a positive count"},
+		{"shards removed", []string{"-shards", "2"}, 2, "flag provided but not defined: -shards"},
+		{"zero timeline interval", []string{"-timeline-interval", "0"}, 2, "-timeline-interval must be >= 1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut strings.Builder
+			args := append([]string{"-critpath", "-"}, c.args...)
+			if code := run(args, &out, &errOut); code != c.code {
+				t.Fatalf("%v: exit %d, want %d", args, code, c.code)
+			}
+			if !strings.Contains(errOut.String(), c.want) {
+				t.Fatalf("unclear message: %q", errOut.String())
+			}
+		})
 	}
 }
 

@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if o.Metrics != "" {
-		if err := cli.WriteTo(o.Metrics, stdout, sess.Hub.Metrics.WritePrometheus); err != nil {
+		if err := cli.WriteMetrics(o.Metrics, stdout, sess.Hub.Metrics); err != nil {
 			fmt.Fprintln(stderr, "nettrace:", err)
 			return 1
 		}

@@ -1,14 +1,13 @@
-// Command obsmon evaluates declarative SLO rules against the telemetry
-// stream and reports alert incidents with exact window provenance. It can
-// replay a recorded timeline artifact (a single timeline or a netload
-// timeline grid) or attach the monitor to a live canonical scenario, and
-// the two paths produce byte-identical reports for the same windows.
+// Command obsmon evaluates declarative SLO rules against a recorded
+// timeline artifact (a single timeline or a netload timeline grid) and
+// reports alert incidents with exact window provenance. Replay takes the
+// path msgbench's live -slo evaluation takes, so the reports are
+// byte-identical for the same windows.
 //
 // Usage:
 //
 //	obsmon -rules rules.json -timeline tl.json   # replay a recorded timeline
 //	obsmon -rules canonical -timeline grid.json  # built-in rules, every grid point
-//	obsmon -rules slo.json -scenario cm5-finite  # live run with the monitor attached
 //	obsmon -format json -o report.json           # text (default), json, or csv
 //	obsmon -fail-on any                          # exit 3 on any incident (default: open)
 //
@@ -22,10 +21,8 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"msglayer/internal/cli"
-	"msglayer/internal/experiments"
 	"msglayer/internal/obs/diff"
 	"msglayer/internal/obs/monitor"
 )
@@ -41,11 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rulesPath := fs.String("rules", "canonical",
 		"SLO rules file (JSON), or \"canonical\" for the built-in rule set")
 	timelinePath := fs.String("timeline", "",
-		"recorded timeline artifact to replay (single timeline or netload grid JSON)")
-	scenario := fs.String("scenario", "",
-		"live canonical scenario to monitor: "+strings.Join(experiments.CanonicalScenarios(), ", "))
-	words := fs.Int("words", 64, "transfer size in words for -scenario")
-	interval := fs.Int("interval", 8, "sampling window width in cycles for -scenario")
+		"recorded timeline artifact to replay (single timeline or netload grid JSON); required")
 	format := fs.String("format", "text", "report format: text, json, or csv")
 	out := fs.String("o", "-", "report destination file (\"-\" = stdout)")
 	failOn := fs.String("fail-on", "open",
@@ -66,12 +59,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "obsmon: -fail-on must be open, any, or none, got %q\n", *failOn)
 		return 2
 	}
-	if (*timelinePath == "") == (*scenario == "") {
-		fmt.Fprintln(stderr, "obsmon: exactly one of -timeline or -scenario is required")
-		return 2
-	}
-	if err := cli.CheckInterval("interval", *interval); err != nil {
-		fmt.Fprintln(stderr, "obsmon:", err)
+	if *timelinePath == "" {
+		fmt.Fprintln(stderr, "obsmon: -timeline is required")
 		return 2
 	}
 
@@ -81,12 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var reports []*monitor.Report
-	if *timelinePath != "" {
-		reports, err = replayArtifact(*timelinePath, rules, *noBlame)
-	} else {
-		reports, err = runLive(*scenario, *words, uint64(*interval), rules, *noBlame)
-	}
+	reports, err := replayArtifact(*timelinePath, rules, *noBlame)
 	if err != nil {
 		fmt.Fprintln(stderr, "obsmon:", err)
 		return 1
@@ -146,22 +130,4 @@ func replayArtifact(path string, rules *monitor.RuleSet, noBlame bool) ([]*monit
 	default:
 		return nil, fmt.Errorf("%s: artifact kind %q carries no timeline (want a timeline or netload timeline grid)", path, art.Kind)
 	}
-}
-
-// runLive attaches the monitor to a live canonical scenario and evaluates
-// windows as they close.
-func runLive(scenario string, words int, interval uint64, rules *monitor.RuleSet, noBlame bool) ([]*monitor.Report, error) {
-	sess, err := cli.NewSession(cli.SessionConfig{Interval: interval, Rules: rules, NoBlame: noBlame})
-	if err != nil {
-		return nil, err
-	}
-	experiments.SetObserver(sess.Hub)
-	defer experiments.SetObserver(nil)
-	if _, err := experiments.RunCanonical(scenario, words); err != nil {
-		return nil, err
-	}
-	if _, err := sess.Finish(); err != nil {
-		return nil, err
-	}
-	return []*monitor.Report{sess.Monitor.Snapshot(scenario)}, nil
 }

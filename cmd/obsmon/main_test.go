@@ -24,15 +24,6 @@ func writeRules(t *testing.T, name, content string) string {
 	return path
 }
 
-// tightRules fires on any scenario: no run sustains a million deliveries
-// per kcycle.
-const tightRules = `{"rules": [{"name": "impossible-floor", "kind": "rate", "severity": "page",
-  "match": {"prefix": "net_delivered_total"}, "min": 1000000}]}`
-
-// looseRules never fires.
-const looseRules = `{"rules": [{"name": "roomy-ceiling", "kind": "rate",
-  "match": {"prefix": "net_delivered_total"}, "max": 1000000000}]}`
-
 // fixtureTimeline writes a recorded timeline with a violation that opens
 // and closes again, so -fail-on open and any diverge.
 func fixtureTimeline(t *testing.T) string {
@@ -67,33 +58,6 @@ func runTool(t *testing.T, args ...string) (int, string, string) {
 	var out, errOut bytes.Buffer
 	code := run(args, &out, &errOut)
 	return code, out.String(), errOut.String()
-}
-
-// TestObsmonLiveViolation: a firing rule exits 3 and the report names it.
-func TestObsmonLiveViolation(t *testing.T) {
-	rules := writeRules(t, "tight.json", tightRules)
-	code, out, errOut := runTool(t, "-rules", rules, "-scenario", "cm5-finite", "-words", "64")
-	if code != 3 {
-		t.Fatalf("exit = %d, want 3; stderr:\n%s", code, errOut)
-	}
-	if !strings.Contains(out, "rule impossible-floor") || !strings.Contains(out, "FIRING") {
-		t.Fatalf("report missing firing rule:\n%s", out)
-	}
-	if !strings.Contains(errOut, "SLO violated") {
-		t.Fatalf("stderr missing violation notice:\n%s", errOut)
-	}
-}
-
-// TestObsmonLiveCompliant: a loose rule exits 0.
-func TestObsmonLiveCompliant(t *testing.T) {
-	rules := writeRules(t, "loose.json", looseRules)
-	code, out, _ := runTool(t, "-rules", rules, "-scenario", "cm5-finite", "-words", "64")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0:\n%s", code, out)
-	}
-	if !strings.Contains(out, "0 incident(s), ok") {
-		t.Fatalf("report missing compliant rule:\n%s", out)
-	}
 }
 
 // TestObsmonFailOnPolicies: an incident that closes before the end exits 0
@@ -181,26 +145,15 @@ func TestObsmonOutputFile(t *testing.T) {
 	}
 }
 
-// TestObsmonCanonicalRules: the built-in rule set loads by name.
+// TestObsmonCanonicalRules: the built-in rule set loads by name and
+// replays over a recorded timeline.
 func TestObsmonCanonicalRules(t *testing.T) {
-	code, out, errOut := runTool(t, "-rules", "canonical", "-scenario", "single", "-fail-on", "none")
+	code, out, errOut := runTool(t, "-rules", "canonical", "-timeline", fixtureTimeline(t), "-fail-on", "none")
 	if code != 0 {
 		t.Fatalf("exit = %d: %s", code, errOut)
 	}
 	if !strings.Contains(out, "delivery-floor") {
 		t.Fatalf("canonical report missing delivery-floor:\n%s", out)
-	}
-}
-
-// TestObsmonUntickedScenario: the single-packet scenario never ticks the
-// round clock, yet the live monitor evaluates its one closing window.
-func TestObsmonUntickedScenario(t *testing.T) {
-	code, out, errOut := runTool(t, "-rules", "canonical", "-scenario", "single", "-fail-on", "none")
-	if code != 0 {
-		t.Fatalf("exit = %d: %s", code, errOut)
-	}
-	if !strings.Contains(out, "windows: 1 ") {
-		t.Fatalf("report did not evaluate one window:\n%s", out)
 	}
 }
 
@@ -216,15 +169,16 @@ func TestObsmonErrors(t *testing.T) {
 		want int
 	}{
 		{"no-input", []string{"-rules", rules}, 2},
-		{"both-inputs", []string{"-rules", rules, "-timeline", tl, "-scenario", "single"}, 2},
 		{"bad-format", []string{"-rules", rules, "-timeline", tl, "-format", "xml"}, 2},
 		{"bad-fail-on", []string{"-rules", rules, "-timeline", tl, "-fail-on", "sometimes"}, 2},
 		{"bad-rules", []string{"-rules", bad, "-timeline", tl}, 1},
 		{"yaml-rules", []string{"-rules", yaml, "-timeline", tl}, 1},
 		{"missing-rules", []string{"-rules", "/nonexistent/rules.json", "-timeline", tl}, 1},
 		{"missing-timeline", []string{"-rules", rules, "-timeline", "/nonexistent/tl.json"}, 1},
-		{"bad-scenario", []string{"-rules", rules, "-scenario", "warpdrive"}, 1},
-		{"bad-interval", []string{"-rules", rules, "-scenario", "single", "-interval", "0"}, 2},
+		// Live runs moved to msgbench -scenario -slo; their flags are gone.
+		{"scenario-removed", []string{"-rules", rules, "-timeline", tl, "-scenario", "single"}, 2},
+		{"words-removed", []string{"-rules", rules, "-timeline", tl, "-words", "64"}, 2},
+		{"interval-removed", []string{"-rules", rules, "-timeline", tl, "-interval", "8"}, 2},
 	}
 	for _, tc := range cases {
 		code, _, errOut := runTool(t, tc.args...)

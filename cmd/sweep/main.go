@@ -187,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 		if o.Metrics != "" {
-			if err := cli.WriteTo(o.Metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
+			if err := cli.WriteMetrics(o.Metrics, stdout, hub.Metrics); err != nil {
 				fmt.Fprintln(stderr, "sweep:", err)
 				return 1
 			}

@@ -1,15 +1,36 @@
 package cli
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // The rest of the package is exercised through the commands' own tests:
-// partial-file safety by cmd/obsdump, the usage checks by every command's
-// flag table, the session by the msgbench and obsmon unticked-run tests,
-// and the report writers by the netload and obsmon SLO tests.
+// the usage checks by every command's flag table, the session by the
+// msgbench unticked-run tests, the metrics writer by the msgbench -scenario
+// tests, and the report writers by the netload and obsmon SLO tests.
+
+// TestWriteToRemovesPartialFile: when rendering into a file fails midway,
+// WriteTo removes the truncated artifact.
+func TestWriteToRemovesPartialFile(t *testing.T) {
+	dest := filepath.Join(t.TempDir(), "trace.json")
+	renderErr := errors.New("render broke midway")
+	err := WriteTo(dest, io.Discard, func(w io.Writer) error {
+		if _, werr := w.Write([]byte(`{"traceEvents":[`)); werr != nil {
+			return werr
+		}
+		return renderErr
+	})
+	if !errors.Is(err, renderErr) {
+		t.Fatalf("WriteTo error = %v, want wrapped render error", err)
+	}
+	if _, statErr := os.Stat(dest); !errors.Is(statErr, os.ErrNotExist) {
+		t.Errorf("partial file left behind at %s (stat err: %v)", dest, statErr)
+	}
+}
 
 func TestStartCPUWritesProfile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.out")

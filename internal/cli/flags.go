@@ -3,7 +3,6 @@ package cli
 import (
 	"errors"
 	"flag"
-	"fmt"
 
 	"msglayer/internal/obs/monitor"
 )
@@ -29,7 +28,8 @@ func NewFlags(fs *flag.FlagSet) *Flags { return &Flags{fs: fs} }
 
 // MetricsFlag registers -metrics; what names the dumped metrics.
 func (f *Flags) MetricsFlag(what string) {
-	f.fs.StringVar(&f.Metrics, "metrics", "", "dump "+what+` to a file ("-" = stdout)`)
+	f.fs.StringVar(&f.Metrics, "metrics", "",
+		"dump "+what+` to a file ("-" = stdout; a .json suffix selects JSON, otherwise Prometheus text)`)
 }
 
 // TraceFlag registers -trace-out; what qualifies the trace ("of the runs").
@@ -70,17 +70,9 @@ func (f *Flags) ProfileFlags(of string) {
 // Check validates the registered flags after parsing. Its errors are usage
 // errors: the command prints them and exits 2, the code fs.Parse uses.
 func (f *Flags) Check() error {
-	if f.fs.Lookup("timeline-interval") != nil {
-		return CheckInterval("timeline-interval", f.TimelineInterval)
-	}
-	return nil
-}
-
-// CheckInterval is the usage check for a window-width flag: zero windows
-// can never close.
-func CheckInterval(name string, v int) error {
-	if v < 1 {
-		return fmt.Errorf("-%s must be >= 1", name)
+	// Zero-width windows can never close.
+	if f.fs.Lookup("timeline-interval") != nil && f.TimelineInterval < 1 {
+		return errors.New("-timeline-interval must be >= 1")
 	}
 	return nil
 }

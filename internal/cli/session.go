@@ -96,8 +96,6 @@ type SessionConfig struct {
 	Interval uint64
 	// Rules, when set, evaluate live as windows close; they imply Timeline.
 	Rules *monitor.RuleSet
-	// NoBlame skips the Role×Feature×Category blame on opened alerts.
-	NoBlame bool
 }
 
 // Session is one observed run on the machine-round clock: the hub the run
@@ -121,7 +119,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		s.Hub.SetTickListener(s.Sampler.Advance)
 	}
 	if cfg.Rules != nil {
-		m, err := newMonitor(cfg.Rules, cfg.NoBlame)
+		m, err := newMonitor(cfg.Rules, false)
 		if err != nil {
 			return nil, err
 		}

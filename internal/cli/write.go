@@ -1,7 +1,8 @@
 // Package cli is the command-line tools' one observability wiring path.
 // It owns the plumbing every command shares:
 //
-//   - partial-file-safe artifact writing (WriteTo) and pprof profiles,
+//   - partial-file-safe artifact writing (WriteTo), the metrics writer
+//     (WriteMetrics) and pprof profiles,
 //   - registration and validation of the shared observability flags
 //     (Flags),
 //   - the -serve lifecycle (Serve),
@@ -71,6 +72,22 @@ func Format(dest string) string {
 		return "csv"
 	}
 	return "text"
+}
+
+// WriteMetrics writes reg to dest: the JSON export for a .json suffix,
+// otherwise Prometheus text.
+func WriteMetrics(dest string, stdout io.Writer, reg *obs.Registry) error {
+	return WriteTo(dest, stdout, func(w io.Writer) error {
+		if Format(dest) != "json" {
+			return reg.WritePrometheus(w)
+		}
+		data, err := reg.MetricsJSON()
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(append(data, '\n'))
+		return err
+	})
 }
 
 // WriteTimeline writes one timeline to dest: CSV for a .csv suffix,

@@ -36,9 +36,10 @@ type CritpathDoc struct {
 	} `json:"critical_path"`
 }
 
-// CritpathSet is a keyed collection of critpath analyses: the multi-report
-// document cmd/critpath -json emits (protocol scenarios by name, flit grid
-// points by mode and load), or a single report under one key.
+// CritpathSet is a keyed collection of critpath analyses: a multi-report
+// document (flit grid points by mode and load, as netload -critpath x.json
+// writes them, and protocol scenarios by name), or a single report under
+// one key, as msgbench -critpath x.json writes it.
 type CritpathSet map[string]*CritpathDoc
 
 // CompareCritpath builds the differential attribution between two critpath

@@ -491,6 +491,42 @@ func TestLoadArtifactSniffing(t *testing.T) {
 	}
 }
 
+// TestLoadArtifactRejectsNullReport: a critpath document whose report is
+// null, or a timeline grid whose timeline is, is refused at load, naming
+// it, instead of dereferencing nil in the compare.
+func TestLoadArtifactRejectsNullReport(t *testing.T) {
+	for _, c := range []struct{ doc, want string }{
+		{`{"points":[{"mode":"cr","load_permille":200,"timeline":null}]}`, `timeline "cr/load=200" is null`},
+		{`{"flit":[{"mode":"x","load":0.1,"report":null}]}`, `"flit/x/load=100" is null`},
+		{`{"scenarios":{"s":null}}`, `"s" is null`},
+	} {
+		_, err := LoadArtifactBytes("a.json", []byte(c.doc))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error = %v, want it to contain %s", c.doc, err, c.want)
+		}
+	}
+}
+
+// FuzzLoadArtifactBytes holds the artifact loader to its contract on
+// arbitrary input: it fails cleanly, or the artifact it loads diffs
+// against itself to exactly zero. It never panics. The seed corpus is
+// under testdata/fuzz/FuzzLoadArtifactBytes.
+func FuzzLoadArtifactBytes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := LoadArtifactBytes("fuzz", data)
+		if err != nil {
+			return
+		}
+		r, err := CompareArtifacts(a, a)
+		if err != nil {
+			t.Fatalf("loaded %s artifact does not compare with itself: %v", a.Kind, err)
+		}
+		if !r.Zero() {
+			t.Fatalf("%s artifact self-diff is not zero", a.Kind)
+		}
+	})
+}
+
 func TestRenderersAreDeterministic(t *testing.T) {
 	a := snapshot(t)
 	b := copySnapshot(a)

@@ -80,7 +80,11 @@ func LoadArtifactBytes(name string, data []byte) (*Artifact, error) {
 		a.Kind = "timeline-grid"
 		a.Grid = make(map[string]*timeline.Timeline, len(doc.Points))
 		for _, p := range doc.Points {
-			a.Grid[p.Mode+"/load="+strconv.Itoa(p.LoadPermille)] = p.Timeline
+			key := p.Mode + "/load=" + strconv.Itoa(p.LoadPermille)
+			if p.Timeline == nil {
+				return nil, fmt.Errorf("diff: %s: timeline %q is null", name, key)
+			}
+			a.Grid[key] = p.Timeline
 		}
 	case has(top, "schema") && has(top, "scenarios"):
 		snap, err := perfreg.Parse(data)
@@ -107,6 +111,11 @@ func LoadArtifactBytes(name string, data []byte) (*Artifact, error) {
 		}
 		for _, f := range doc.Flit {
 			a.Critpath["flit/"+f.Mode+"/load="+strconv.Itoa(int(f.Load*1000))] = f.Report
+		}
+		for k, v := range a.Critpath {
+			if v == nil {
+				return nil, fmt.Errorf("diff: %s: critpath report %q is null", name, k)
+			}
 		}
 	case has(top, "by_category") && has(top, "critical_path"):
 		var doc CritpathDoc

@@ -438,6 +438,7 @@ func TestParseRulesRejects(t *testing.T) {
 		{"yaml-junk", "rules:\n  - name: a\n bad", "must be a JSON object"},
 		{"non-json", "rules:\n  - name: floor\n    kind: rate\n    min: 1\n", "must be a JSON object"},
 		{"blank", " \n\t", "must be a JSON object"},
+		{"trailing-data", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}, "min": 1}]} trailing garbage`, "trailing data"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -447,6 +448,30 @@ func TestParseRulesRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseRules holds the rules parser to its contract on arbitrary
+// input: it rejects cleanly or accepts a rule set that survives a
+// marshal/parse round trip unchanged, and it never panics. The seed corpus
+// is under testdata/fuzz/FuzzParseRules.
+func FuzzParseRules(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := ParseRules(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(a)
+		if err != nil {
+			t.Fatalf("accepted rules do not marshal: %v", err)
+		}
+		b, err := ParseRules(enc)
+		if err != nil {
+			t.Fatalf("accepted rules do not re-parse: %v\n%s", err, enc)
+		}
+		if again, _ := json.Marshal(b); !bytes.Equal(again, enc) {
+			t.Fatalf("rules changed on round trip:\n first: %s\n again: %s", enc, again)
+		}
+	})
 }
 
 // TestCanonicalRulesLoad: the built-in set validates and "canonical"

@@ -3,7 +3,9 @@ package monitor
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -194,6 +196,11 @@ func ParseRules(data []byte) (*RuleSet, error) {
 	rs := &RuleSet{}
 	if err := dec.Decode(rs); err != nil {
 		return nil, fmt.Errorf("monitor: parse rules: %w", err)
+	}
+	// Decode stops after the first value; anything but whitespace after
+	// the object is a malformed file, not ignorable trailing text.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("monitor: parse rules: trailing data after the rules object")
 	}
 	if err := rs.validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package perfreg
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -324,6 +325,34 @@ func TestPerfregSchemaRejected(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("unknown schema accepted")
+	}
+}
+
+// TestPerfregMatchesCommittedBaseline is the simulator half of the
+// behaviour contract: a fresh recording holds every sim metric of
+// BENCH_PR10.json, exactly. Benches are recorded by their own smoke test,
+// so only the sim keys are checked here.
+func TestPerfregMatchesCommittedBaseline(t *testing.T) {
+	baseline, err := ReadFile("../../BENCH_PR10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := 0
+	for _, sc := range baseline.Scenarios {
+		keys += len(sc.Sim)
+	}
+	rep, err := Compare(baseline, recordOnce(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SimChecked != keys || rep.SimEqual != keys {
+		var drift []string
+		for _, d := range rep.Failing() {
+			if d.Kind == "sim" {
+				drift = append(drift, fmt.Sprintf("%s %s: %s", d.Scenario, d.Metric, d.Note))
+			}
+		}
+		t.Fatalf("%d/%d of %d sim keys equal:\n%s", rep.SimEqual, rep.SimChecked, keys, strings.Join(drift, "\n"))
 	}
 }
 

@@ -2,6 +2,7 @@ package twin
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,23 @@ func TestCompareSelfAndDrift(t *testing.T) {
 	mutated.Cycles++
 	if bad := Compare(rep, &mutated); len(bad) == 0 {
 		t.Error("config drift not detected")
+	}
+}
+
+// TestCalibrationMatchesCommittedBaseline is the twin half of the
+// behaviour contract: a fresh calibration equals TWIN_PR9.json exactly, so
+// any change to the simulator's measurements or to the model fails here.
+func TestCalibrationMatchesCommittedBaseline(t *testing.T) {
+	data, err := os.ReadFile("../../TWIN_PR9.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := ParseReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := Compare(baseline, calibrated(t)); len(bad) != 0 {
+		t.Fatalf("calibration drifted from TWIN_PR9.json:\n%s", strings.Join(bad, "\n"))
 	}
 }
 

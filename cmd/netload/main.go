@@ -327,9 +327,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	type timelinePoint struct {
-		Mode         string             `json:"mode"`
-		LoadPermille int                `json:"load_permille"`
-		Timeline     *timeline.Timeline `json:"timeline"`
+		Mode         string
+		LoadPermille int
+		Timeline     *timeline.Timeline
 	}
 	var tlPoints []timelinePoint
 	if o.TimelineOut != "" {
@@ -357,12 +357,31 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				cw.Flush()
 				return cw.Error()
 			}
-			doc := struct {
-				Points []timelinePoint `json:"points"`
-			}{tlPoints}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(doc)
+			// {"points": [{mode, load_permille, timeline}, ...]}, laid out
+			// byte for byte as json.Encoder with a two-space indent lays it
+			// out; each timeline sits three levels deep. Points are written
+			// as they are rendered, so only one is ever buffered.
+			b := []byte("{\n  \"points\": ")
+			if len(tlPoints) == 0 {
+				b = append(b, "null"...)
+			} else {
+				b = append(b, '[')
+				for i, p := range tlPoints {
+					if i > 0 {
+						b = append(b, ',')
+					}
+					b = timeline.AppendJSONString(append(b, "\n    {\n      \"mode\": "...), p.Mode)
+					b = strconv.AppendInt(append(b, ",\n      \"load_permille\": "...), int64(p.LoadPermille), 10)
+					b = timeline.AppendJSON(append(b, ",\n      \"timeline\": "...), p.Timeline, "      ")
+					if _, err := w.Write(append(b, "\n    }"...)); err != nil {
+						return err
+					}
+					b = b[:0]
+				}
+				b = append(b, "\n  ]"...)
+			}
+			_, err := w.Write(append(b, "\n}\n"...))
+			return err
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "netload:", err)

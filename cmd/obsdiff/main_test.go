@@ -126,3 +126,19 @@ func TestObsdiffUsageErrors(t *testing.T) {
 		t.Fatal("missing file did not fail")
 	}
 }
+
+// TestObsdiffRejectsUnbalancedTimeline: a timeline whose window breakdown
+// does not sum to the window's events fails at load, naming the window,
+// rather than loading and then failing the diff's reconciliation.
+func TestObsdiffRejectsUnbalancedTimeline(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	doc := `{"schema":1,"interval":100,"windows":[{"index":0,"start":0,"end":100,"events":5,"breakdown":[{"role":"source","axis":"base","category":"work","events":3}]}],"digest":"0000000000000000"}`
+	if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{bad, bad}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "windows[0] (index 0): breakdown events sum to 3, window events 5") {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+}

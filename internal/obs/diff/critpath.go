@@ -36,6 +36,37 @@ type CritpathDoc struct {
 	} `json:"critical_path"`
 }
 
+// check rejects a report whose recorded totals are not the sums of their
+// decompositions: work by axis and the waterfall must each sum to the
+// work category, and the critical path's categories to its span. A diff
+// pins each decomposition to its total, so a report that breaks one could
+// never reconcile.
+func (d *CritpathDoc) check() error {
+	work := d.ByCategory["work"]
+	if sum := sumValues(d.ByAxis); sum != work {
+		return fmt.Errorf("work_by_axis sums to %d, by_category work %d", sum, work)
+	}
+	var units uint64
+	for _, row := range d.Waterfall {
+		units += row.Units
+	}
+	if units != work {
+		return fmt.Errorf("waterfall units sum to %d, by_category work %d", units, work)
+	}
+	if sum := sumValues(d.Critical.ByCategory); sum != d.Critical.Span {
+		return fmt.Errorf("critical_path by_category sums to %d, span %d", sum, d.Critical.Span)
+	}
+	return nil
+}
+
+func sumValues(m map[string]uint64) uint64 {
+	var sum uint64
+	for _, v := range m {
+		sum += v
+	}
+	return sum
+}
+
 // CritpathSet is a keyed collection of critpath analyses: a multi-report
 // document (flit grid points by mode and load, as netload -critpath x.json
 // writes them, and protocol scenarios by name), or a single report under

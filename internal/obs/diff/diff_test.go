@@ -507,10 +507,28 @@ func TestLoadArtifactRejectsNullReport(t *testing.T) {
 	}
 }
 
+// TestLoadArtifactRejectsUnbalancedBreakdown: a window whose breakdown
+// cells do not sum to its events is refused at load, naming the window
+// (and the grid point), instead of loading and then failing the diff's
+// reconciliation.
+func TestLoadArtifactRejectsUnbalancedBreakdown(t *testing.T) {
+	const bad = `{"schema":1,"interval":100,"windows":[{"index":0,"start":0,"end":100,"events":5,"breakdown":[{"role":"source","axis":"base","category":"work","events":3}]}],"digest":"0000000000000000"}`
+	for _, c := range []struct{ doc, want string }{
+		{bad, `timeline windows[0] (index 0): breakdown events sum to 3, window events 5`},
+		{`{"points":[{"mode":"cr","load_permille":200,"timeline":` + bad + `}]}`,
+			`timeline "cr/load=200" windows[0] (index 0): breakdown events sum to 3`},
+	} {
+		_, err := LoadArtifactBytes("bad.json", []byte(c.doc))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error = %v, want it to contain %s", c.doc, err, c.want)
+		}
+	}
+}
+
 // FuzzLoadArtifactBytes holds the artifact loader to its contract on
 // arbitrary input: it fails cleanly, or the artifact it loads diffs
-// against itself to exactly zero. It never panics. The seed corpus is
-// under testdata/fuzz/FuzzLoadArtifactBytes.
+// against itself to exactly zero and that diff reconciles. It never
+// panics. The seed corpus is under testdata/fuzz/FuzzLoadArtifactBytes.
 func FuzzLoadArtifactBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := LoadArtifactBytes("fuzz", data)
@@ -523,6 +541,9 @@ func FuzzLoadArtifactBytes(f *testing.F) {
 		}
 		if !r.Zero() {
 			t.Fatalf("%s artifact self-diff is not zero", a.Kind)
+		}
+		if err := r.Reconcile(); err != nil {
+			t.Fatalf("%s artifact self-diff does not reconcile: %v", a.Kind, err)
 		}
 	})
 }

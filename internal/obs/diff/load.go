@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 
 	"msglayer/internal/obs"
 	"msglayer/internal/perfreg"
@@ -65,6 +66,9 @@ func LoadArtifactBytes(name string, data []byte) (*Artifact, error) {
 		if err := json.Unmarshal(data, &tl); err != nil {
 			return nil, fmt.Errorf("diff: %s: timeline export: %w", name, err)
 		}
+		if err := checkBreakdowns(&tl); err != nil {
+			return nil, fmt.Errorf("diff: %s: timeline %w", name, err)
+		}
 		a.Kind, a.Timeline = "timeline", &tl
 	case has(top, "points"):
 		var doc struct {
@@ -84,11 +88,17 @@ func LoadArtifactBytes(name string, data []byte) (*Artifact, error) {
 			if p.Timeline == nil {
 				return nil, fmt.Errorf("diff: %s: timeline %q is null", name, key)
 			}
+			if err := checkBreakdowns(p.Timeline); err != nil {
+				return nil, fmt.Errorf("diff: %s: timeline %q %w", name, key, err)
+			}
 			a.Grid[key] = p.Timeline
 		}
 	case has(top, "schema") && has(top, "scenarios"):
 		snap, err := perfreg.Parse(data)
 		if err != nil {
+			return nil, fmt.Errorf("diff: %s: %w", name, err)
+		}
+		if err := checkInstrTotals(snap); err != nil {
 			return nil, fmt.Errorf("diff: %s: %w", name, err)
 		}
 		a.Kind, a.Perfreg = "perfreg", snap
@@ -116,10 +126,16 @@ func LoadArtifactBytes(name string, data []byte) (*Artifact, error) {
 			if v == nil {
 				return nil, fmt.Errorf("diff: %s: critpath report %q is null", name, k)
 			}
+			if err := v.check(); err != nil {
+				return nil, fmt.Errorf("diff: %s: critpath report %q: %w", name, k, err)
+			}
 		}
 	case has(top, "by_category") && has(top, "critical_path"):
 		var doc CritpathDoc
 		if err := json.Unmarshal(data, &doc); err != nil {
+			return nil, fmt.Errorf("diff: %s: critpath report: %w", name, err)
+		}
+		if err := doc.check(); err != nil {
 			return nil, fmt.Errorf("diff: %s: critpath report: %w", name, err)
 		}
 		a.Kind = "critpath"
@@ -128,6 +144,44 @@ func LoadArtifactBytes(name string, data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("diff: %s: unrecognised artifact shape (want a perfreg snapshot, metrics export, timeline, netload timeline grid, or critpath report)", name)
 	}
 	return a, nil
+}
+
+// checkBreakdowns rejects a timeline whose window breakdown cells do not
+// sum to the window's protocol events. The sampler derives both from the
+// same counters, so such a file was not written by it, and the phase
+// sections of any diff of it could not reconcile.
+func checkBreakdowns(tl *timeline.Timeline) error {
+	for i, w := range tl.Windows {
+		var sum uint64
+		for _, c := range w.Breakdown {
+			sum += c.Events
+		}
+		if sum != w.Events {
+			return fmt.Errorf("windows[%d] (index %d): breakdown events sum to %d, window events %d", i, w.Index, sum, w.Events)
+		}
+	}
+	return nil
+}
+
+// checkInstrTotals rejects a snapshot scenario whose instr/total is not
+// the sum of its instr/* components, the waterfall a diff pins to it.
+func checkInstrTotals(snap *perfreg.Snapshot) error {
+	for _, sc := range snap.Scenarios {
+		total, ok := sc.Sim["instr/total"]
+		if !ok {
+			continue
+		}
+		var sum uint64
+		for k, v := range sc.Sim {
+			if strings.HasPrefix(k, "instr/") && k != "instr/total" && !strings.Contains(k, "digest") {
+				sum += v
+			}
+		}
+		if sum != total {
+			return fmt.Errorf("scenario %q: instr/* components sum to %d, instr/total %d", sc.Name, sum, total)
+		}
+	}
+	return nil
 }
 
 // has reports whether a top-level key exists with a non-null value.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -62,6 +63,49 @@ func TestObsKeyString(t *testing.T) {
 	bare := Key{Name: "run_rounds_total", Node: -1}
 	if bare.String() != "run_rounds_total" {
 		t.Fatalf("bare key = %s", bare)
+	}
+}
+
+// TestObsKeyStringMatchesFmt holds the fmt-free renderer to the format it
+// replaced: %q of each label value, node labels quoted as decimal strings.
+func TestObsKeyStringMatchesFmt(t *testing.T) {
+	ref := func(k Key) string {
+		var labels []string
+		if k.Node >= 0 {
+			labels = append(labels, fmt.Sprintf("node=%q", fmt.Sprint(k.Node)))
+		}
+		if k.Proto != "" {
+			labels = append(labels, fmt.Sprintf("proto=%q", k.Proto))
+		}
+		if k.Event != "" {
+			labels = append(labels, fmt.Sprintf("event=%q", k.Event))
+		}
+		if len(labels) == 0 {
+			return k.Name
+		}
+		return k.Name + "{" + strings.Join(labels, ",") + "}"
+	}
+	for _, k := range []Key{
+		{Name: "bare", Node: -1},
+		{Name: "n", Node: 0},
+		{Name: "n", Node: 1234567},
+		{Name: "p", Node: -1, Proto: "crstream"},
+		{Name: "e", Node: -1, Event: "finite.start"},
+		{Name: "pe", Node: -1, Proto: "net", Event: "load_50"},
+		{Name: "all", Node: 7, Proto: "finite", Event: "finite.start"},
+		{Name: "odd", Node: 2, Proto: "q\"uote\\", Event: "tab\tnl\n<&>\u2028\xff"},
+		{Name: "", Node: -1, Proto: "\x00"},
+	} {
+		if got, want := k.String(), ref(k); got != want {
+			t.Errorf("Key%+v.String() = %s, want %s", k, got, want)
+		}
+		want := ""
+		if r := ref(k); r != k.Name {
+			want = r[len(k.Name)+1 : len(r)-1]
+		}
+		if got := k.labelString(); got != want {
+			t.Errorf("Key%+v.labelString() = %s, want %s", k, got, want)
+		}
 	}
 }
 

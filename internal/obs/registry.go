@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Key identifies one metric time series: a metric name plus the label set
@@ -26,32 +26,40 @@ type Key struct {
 
 // String renders the key in Prometheus exposition style.
 func (k Key) String() string {
-	labels := k.labelString()
-	if labels == "" {
+	if k.Node < 0 && k.Proto == "" && k.Event == "" {
 		return k.Name
 	}
-	return k.Name + "{" + labels + "}"
+	b := append(make([]byte, 0, len(k.Name)+48), k.Name...)
+	b = append(k.appendLabels(append(b, '{')), '}')
+	return string(b)
 }
 
 // labelString renders only the label set (no braces), empty if unlabeled.
 func (k Key) labelString() string {
-	s := ""
+	return string(k.appendLabels(nil))
+}
+
+// appendLabels appends the label set (no braces) to b. Label values are
+// quoted as Go strings, matching the exposition format's escaping.
+func (k Key) appendLabels(b []byte) []byte {
+	n := len(b)
 	if k.Node >= 0 {
-		s += fmt.Sprintf("node=%q", fmt.Sprint(k.Node))
+		b = append(b, `node="`...)
+		b = append(strconv.AppendInt(b, int64(k.Node), 10), '"')
 	}
 	if k.Proto != "" {
-		if s != "" {
-			s += ","
+		if len(b) > n {
+			b = append(b, ',')
 		}
-		s += fmt.Sprintf("proto=%q", k.Proto)
+		b = strconv.AppendQuote(append(b, "proto="...), k.Proto)
 	}
 	if k.Event != "" {
-		if s != "" {
-			s += ","
+		if len(b) > n {
+			b = append(b, ',')
 		}
-		s += fmt.Sprintf("event=%q", k.Event)
+		b = strconv.AppendQuote(append(b, "event="...), k.Event)
 	}
-	return s
+	return b
 }
 
 // Counter is a monotonically increasing metric. Like the rest of the

@@ -286,6 +286,20 @@ func TestObsServeDiffTimelineBaseline(t *testing.T) {
 	}
 }
 
+// TestObsServeDiffRejectsUnbalancedTimeline: a timeline baseline whose
+// window breakdown does not sum to the window's events is bad input (400),
+// refused at load, not a diff that fails to reconcile (500).
+func TestObsServeDiffRejectsUnbalancedTimeline(t *testing.T) {
+	h, s := fixedTimelineHub(t)
+	srv := New(h)
+	srv.SetTimeline(s)
+	bad := []byte(`{"schema":1,"interval":100,"windows":[{"index":0,"start":0,"end":100,"events":5,"breakdown":[{"role":"source","axis":"base","category":"work","events":3}]}],"digest":"0000000000000000"}`)
+	code, body := postDiff(t, srv, "/diff", bad)
+	if code != http.StatusBadRequest || !strings.Contains(body, "breakdown events sum to 3, window events 5") {
+		t.Fatalf("unbalanced timeline baseline = %d: %.300s", code, body)
+	}
+}
+
 func TestObsServeDiffErrors(t *testing.T) {
 	srv := New(fixedHub(t))
 	// No baseline at all.

@@ -2,7 +2,6 @@ package timeline
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -122,12 +121,21 @@ func (s *Sampler) Snapshot() *Timeline {
 func (s *Sampler) SnapshotWindow(wi int) Window {
 	w := s.windows[wi]
 	win := Window{Index: wi, Start: w.start, End: w.end}
+	if w.c1 > w.c0 {
+		win.Counters = make([]CounterDelta, 0, w.c1-w.c0)
+	}
+	if w.l1 > w.l0 {
+		win.Levels = make([]LevelSample, 0, w.l1-w.l0)
+	}
+	if w.h1 > w.h0 {
+		win.Hists = make([]HistDelta, 0, w.h1-w.h0)
+	}
 	width := w.end - w.start
 	cells := make(map[cellKey]uint64)
 	for _, d := range s.cds[w.c0:w.c1] {
 		k := s.ctrKeys[d.series]
 		win.Counters = append(win.Counters, CounterDelta{
-			Key:           k.String(),
+			Key:           s.ctrNames[d.series],
 			Delta:         d.delta,
 			RatePerKCycle: d.delta * 1000 / width,
 		})
@@ -137,13 +145,13 @@ func (s *Sampler) SnapshotWindow(wi int) Window {
 		}
 	}
 	for _, l := range s.lss[w.l0:w.l1] {
-		win.Levels = append(win.Levels, LevelSample{Key: s.lvlKeys[l.series].String(), Value: l.value})
+		win.Levels = append(win.Levels, LevelSample{Key: s.lvlNames[l.series], Value: l.value})
 	}
 	for _, h := range s.hds[w.h0:w.h1] {
 		bounds := s.hst[h.series].h.Bounds()
 		buckets := s.buckets[h.b0 : int(h.b0)+len(bounds)+1]
 		hd := HistDelta{
-			Key:   s.hstKeys[h.series].String(),
+			Key:   s.hstNames[h.series],
 			Count: h.dn,
 			Sum:   h.dsum,
 			P50:   QuantileFromDeltas(bounds, buckets, h.dn, 0.50),
@@ -312,13 +320,6 @@ func (tl *Timeline) digest() uint64 {
 		}
 	}
 	return uint64(h)
-}
-
-// WriteJSON renders the timeline as indented JSON.
-func WriteJSON(w io.Writer, tl *Timeline) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tl)
 }
 
 // CSVHeader returns the column header for the flat CSV form, with any

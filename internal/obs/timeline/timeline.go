@@ -110,11 +110,15 @@ type Sampler struct {
 	lvl     []ltrack
 	hst     []htrack
 	ctrKeys []obs.Key
-	lvlKeys []obs.Key
 	hstKeys []obs.Key
 	ctrIdx  map[obs.Key]int32
 	lvlIdx  map[obs.Key]int32
 	hstIdx  map[obs.Key]int32
+	// Each tracked key rendered once, when its series is first tracked, so
+	// snapshots never format a key again.
+	ctrNames []string
+	lvlNames []string
+	hstNames []string
 
 	windows []windowHdr
 	cds     []cdelta
@@ -347,6 +351,7 @@ func (s *Sampler) rescan() {
 		s.ctrIdx[k] = int32(len(s.ctr))
 		s.ctr = append(s.ctr, ctrack{c: s.reg.Counter(k)})
 		s.ctrKeys = append(s.ctrKeys, k)
+		s.ctrNames = append(s.ctrNames, k.String())
 	}
 	for _, k := range s.reg.LevelKeys() {
 		if _, ok := s.lvlIdx[k]; ok {
@@ -354,7 +359,7 @@ func (s *Sampler) rescan() {
 		}
 		s.lvlIdx[k] = int32(len(s.lvl))
 		s.lvl = append(s.lvl, ltrack{l: s.reg.Level(k)})
-		s.lvlKeys = append(s.lvlKeys, k)
+		s.lvlNames = append(s.lvlNames, k.String())
 	}
 	for _, k := range s.reg.HistogramKeys() {
 		if _, ok := s.hstIdx[k]; ok {
@@ -364,6 +369,7 @@ func (s *Sampler) rescan() {
 		s.hstIdx[k] = int32(len(s.hst))
 		s.hst = append(s.hst, htrack{h: h, prevBuckets: make([]uint64, len(h.BucketCounts()))})
 		s.hstKeys = append(s.hstKeys, k)
+		s.hstNames = append(s.hstNames, k.String())
 	}
 }
 
@@ -389,13 +395,13 @@ func (s *Sampler) Reconcile() error {
 	}
 	for i := range s.ctr {
 		if got, want := csum[i], s.ctr[i].c.Value(); got != want {
-			return fmt.Errorf("timeline: counter %s: window deltas sum to %d, registry total %d", s.ctrKeys[i], got, want)
+			return fmt.Errorf("timeline: counter %s: window deltas sum to %d, registry total %d", s.ctrNames[i], got, want)
 		}
 	}
 	for i := range s.lvl {
 		t := &s.lvl[i]
 		if !t.seen || t.last != t.l.Value() {
-			return fmt.Errorf("timeline: level %s: last sample %d (seen=%v), registry value %d", s.lvlKeys[i], t.last, t.seen, t.l.Value())
+			return fmt.Errorf("timeline: level %s: last sample %d (seen=%v), registry value %d", s.lvlNames[i], t.last, t.seen, t.l.Value())
 		}
 	}
 	hn := make([]uint64, len(s.hst))
@@ -408,7 +414,7 @@ func (s *Sampler) Reconcile() error {
 		t := &s.hst[i]
 		if hn[i] != t.h.Count() || hsum[i] != t.h.Sum() {
 			return fmt.Errorf("timeline: histogram %s: window deltas sum to n=%d sum=%d, registry n=%d sum=%d",
-				s.hstKeys[i], hn[i], hsum[i], t.h.Count(), t.h.Sum())
+				s.hstNames[i], hn[i], hsum[i], t.h.Count(), t.h.Sum())
 		}
 	}
 	return nil

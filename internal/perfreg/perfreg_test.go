@@ -392,3 +392,32 @@ func TestPerfregHistorySubsumedByNewest(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse holds the snapshot loader to its contract on arbitrary input:
+// it rejects cleanly, or the snapshot it returns re-encodes, as WriteFile
+// encodes it, into bytes that Parse accepts and that re-encode to the same
+// bytes. It never panics. The seed corpus under testdata/fuzz/FuzzParse
+// holds BENCH_PR10.json and truncated and mistyped variants of it.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.MarshalIndent(s, "", "  ")
+		if err != nil {
+			t.Fatalf("parsed snapshot does not encode: %v", err)
+		}
+		s2, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not parse: %v\n%s", err, enc)
+		}
+		enc2, err := json.MarshalIndent(s2, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("snapshot does not round-trip:\nfirst  %s\nsecond %s", enc, enc2)
+		}
+	})
+}

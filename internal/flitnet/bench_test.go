@@ -75,6 +75,63 @@ func BenchmarkTickLoaded(b *testing.B) {
 	}
 }
 
+// saturatedStep builds the 16-node fat tree under uniform traffic at an
+// offered load of 0.3 packets per node per cycle, past saturation, and
+// returns one cycle of it: offer the cycle's packets, tick, and read every
+// delivered packet. The reader hands each payload buffer back to the net,
+// as a receiver that recycles its buffers would, so the warm loop's only
+// allocations would be the engine's own. Most head routings are retries
+// of a head that was blocked the cycle before.
+func saturatedStep(mode Mode) (*Net, func()) {
+	n := MustNew(Config{Topology: topology.MustFatTree(4, 2), Mode: mode, BufferFlits: 3, InjectQueue: 8})
+	rng := diffRNG(1)
+	data := []network.Word{1}
+	step := func() {
+		for src := 0; src < 16; src++ {
+			if rng.intn(10) >= 3 {
+				continue
+			}
+			dst := rng.intn(15)
+			if dst >= src {
+				dst++
+			}
+			_ = n.Inject(network.Packet{Src: src, Dst: dst, Data: data})
+		}
+		n.Tick(1)
+		for node := 0; node < 16; node++ {
+			for {
+				p, ok := n.TryRecv(node)
+				if !ok {
+					break
+				}
+				n.putWords(p.Data)
+			}
+		}
+	}
+	// Warm the pools, flow tables, queues and wake heap.
+	for i := 0; i < 5000; i++ {
+		step()
+	}
+	return n, step
+}
+
+// BenchmarkTickSaturated measures one cycle of the saturated fat tree in
+// CR and adaptive mode: the blocked-head path, where a head retries its
+// routing every cycle. It reports 0 allocs/op (TestTickSaturatedAllocs
+// holds it to that).
+func BenchmarkTickSaturated(b *testing.B) {
+	for _, mode := range []Mode{CR, Adaptive} {
+		b.Run(mode.String(), func(b *testing.B) {
+			_, step := saturatedStep(mode)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
 // idleNet builds a large mesh with every flow parked in CR retry backoff —
 // nothing can move for thousands of cycles. This is the workload the idle
 // fast-forward targets: the dense engine pays a full topology scan per

@@ -31,11 +31,24 @@ func (r *diffRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // runDiffWorkload drives one net through the seeded workload and returns a
 // transcript: every delivered packet in per-node drain order, plus the
-// final counters.
-func runDiffWorkload(t *testing.T, cfg Config, seed uint64, injections, burst int) (transcript []string, stats Stats, cycle uint64) {
+// final counters. With rejectEvery > 0 every node's acceptor turns down
+// every rejectEvery-th header it is asked about; acceptors run only in the
+// route phase, so each rejection is a kill fired from inside it.
+func runDiffWorkload(t *testing.T, cfg Config, seed uint64, injections, burst, rejectEvery int) (transcript []string, stats Stats, cycle uint64) {
 	t.Helper()
 	n := MustNew(cfg)
 	nodes := n.Nodes()
+	if rejectEvery > 0 {
+		asked := 0
+		for node := 0; node < nodes; node++ {
+			if err := n.SetAcceptor(node, func(network.Packet) bool {
+				asked++
+				return asked%rejectEvery != 0
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	rng := diffRNG(seed)
 	drain := func(tag string) {
 		for node := 0; node < nodes; node++ {
@@ -92,20 +105,33 @@ func runDiffWorkload(t *testing.T, cfg Config, seed uint64, injections, burst in
 // seeded workload grid through the dense reference and the event engine
 // must produce byte-identical Stats, delivery order, and cycle counts for
 // every mode × virtual-channel × seed combination.
+//
+// The 8×8 mesh rows with 3, 5 and 7 virtual channels number their lanes
+// so that (router, port) groups straddle the active-lane bitmap's 64-bit
+// words. The 8×8 CR row rejects every third header and times out blocked
+// heads, so kills fire inside the route phase, where the kill sweep runs
+// while the lane bitmap is being visited.
 func TestDenseEventEquivalence(t *testing.T) {
 	topo := func() topology.Topology { return topology.MustMesh(4, 4) }
+	mesh8 := func() topology.Topology { return topology.MustMesh(8, 8) }
 	grid := []struct {
-		name string
-		cfg  Config
+		name        string
+		cfg         Config
+		rejectEvery int // see runDiffWorkload; 0 accepts every header
+		burst       int // injections per burst; 0 means 5
 	}{
-		{"det-vc1", Config{Topology: topo(), Mode: Deterministic}},
-		{"det-vc2", Config{Topology: topo(), Mode: Deterministic, VirtualChannels: 2}},
-		{"adaptive-vc1", Config{Topology: topo(), Mode: Adaptive}},
-		{"adaptive-vc3", Config{Topology: topo(), Mode: Adaptive, VirtualChannels: 3}},
-		{"cr", Config{Topology: topo(), Mode: CR}},
-		{"cr-tight", Config{Topology: topo(), Mode: CR, KillTimeout: 8, RetryBackoff: 64, BufferFlits: 2}},
-		{"fattree-adaptive", Config{Topology: topology.MustFatTree(4, 2), Mode: Adaptive, VirtualChannels: 2}},
-		{"fattree-cr", Config{Topology: topology.MustFatTree(4, 2), Mode: CR}},
+		{"det-vc1", Config{Topology: topo(), Mode: Deterministic}, 0, 0},
+		{"det-vc2", Config{Topology: topo(), Mode: Deterministic, VirtualChannels: 2}, 0, 0},
+		{"adaptive-vc1", Config{Topology: topo(), Mode: Adaptive}, 0, 0},
+		{"adaptive-vc3", Config{Topology: topo(), Mode: Adaptive, VirtualChannels: 3}, 0, 0},
+		{"cr", Config{Topology: topo(), Mode: CR}, 0, 0},
+		{"cr-tight", Config{Topology: topo(), Mode: CR, KillTimeout: 8, RetryBackoff: 64, BufferFlits: 2}, 0, 0},
+		{"fattree-adaptive", Config{Topology: topology.MustFatTree(4, 2), Mode: Adaptive, VirtualChannels: 2}, 0, 0},
+		{"fattree-cr", Config{Topology: topology.MustFatTree(4, 2), Mode: CR}, 0, 0},
+		{"mesh8-adaptive-vc3", Config{Topology: mesh8(), Mode: Adaptive, VirtualChannels: 3}, 0, 40},
+		{"mesh8-adaptive-vc5", Config{Topology: mesh8(), Mode: Adaptive, VirtualChannels: 5}, 0, 40},
+		{"mesh8-adaptive-vc7", Config{Topology: mesh8(), Mode: Adaptive, VirtualChannels: 7}, 0, 40},
+		{"mesh8-cr-kills", Config{Topology: mesh8(), Mode: CR, KillTimeout: 4, RetryBackoff: 8, BufferFlits: 2}, 3, 40},
 	}
 	for _, g := range grid {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -113,8 +139,18 @@ func TestDenseEventEquivalence(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				dense := g.cfg
 				dense.DenseReference = true
-				denseTr, denseStats, denseCycle := runDiffWorkload(t, dense, seed, 120, 5)
-				eventTr, eventStats, eventCycle := runDiffWorkload(t, g.cfg, seed, 120, 5)
+				injections, burst := 120, 5
+				if g.burst > 0 {
+					// The 8×8 rows offer bigger bursts, so several virtual
+					// channels of one port fill at once, straddling groups
+					// included.
+					injections, burst = 30*g.burst, g.burst
+				}
+				denseTr, denseStats, denseCycle := runDiffWorkload(t, dense, seed, injections, burst, g.rejectEvery)
+				eventTr, eventStats, eventCycle := runDiffWorkload(t, g.cfg, seed, injections, burst, g.rejectEvery)
+				if g.rejectEvery > 0 && (eventStats.Rejected == 0 || eventStats.Kills <= eventStats.Rejected) {
+					t.Errorf("want rejection and timeout kills; got %d kills, %d of them rejections", eventStats.Kills, eventStats.Rejected)
+				}
 				if denseStats != eventStats {
 					t.Errorf("stats diverge:\n dense %+v\n event %+v", denseStats, eventStats)
 				}
@@ -186,7 +222,7 @@ func TestQuietCountersMatchScan(t *testing.T) {
 	n := MustNew(cfg)
 	rng := diffRNG(7)
 	scanPending := func() (worms int, recv int) {
-		for _, f := range n.flows {
+		for _, f := range n.flowSeq {
 			worms += f.pending()
 		}
 		for node := range n.recvq {

@@ -19,8 +19,9 @@ import "msglayer/internal/topology"
 // The contract with the dense scan it replaced is byte-identical results.
 // The dense scan visited lanes in ascending (router, port) order with the
 // virtual-channel priority rotated each cycle, and flows in first-Inject
-// order; both worklists are kept sorted on exactly those keys, and
-// additions made while a cycle runs merge in at the next phase boundary —
+// order. Both worklists are bitmaps over ids numbered in exactly those
+// orders, so visiting their set bits in ascending order replays the scan.
+// Additions made while a cycle runs fold in at the next phase boundary —
 // the same cycle the dense scan would first have acted on them, because a
 // flit pushed this cycle is skipped until the next one anyway (the
 // `arrived == cycle` guard) and a flow made ready mid-phase belongs to the
@@ -96,7 +97,7 @@ func (n *Net) idleCycles(budget int) int {
 	if n.dense {
 		return 0
 	}
-	if len(n.lanes.sorted)+len(n.lanes.added)+len(n.ready.sorted)+len(n.ready.added) > 0 {
+	if n.lanes.count()+n.ready.count() > 0 {
 		return 0
 	}
 	if n.wake.len() == 0 {
@@ -115,8 +116,7 @@ func (n *Net) idleCycles(budget int) int {
 
 // tickOnce advances one cycle. The phases allocate nothing: the per-cycle
 // "who injected / which link carried a flit" sets are cycle-stamped scratch
-// slices on the Net and routers, and the worklists reuse their backing
-// arrays.
+// slices on the Net and routers, and the worklists are fixed bitmaps.
 func (n *Net) tickOnce() {
 	n.cycle++
 	n.stats.Cycles++
@@ -139,23 +139,23 @@ func (n *Net) injectPhase() {
 	for n.wake.len() > 0 && n.wake.minAt() <= n.cycle {
 		n.ready.add(n.wake.pop())
 	}
-	n.ready.merge()
-	keep := n.ready.sorted[:0]
-	for _, fi := range n.ready.sorted {
-		if n.injectFlow(n.order[fi], n.flowSeq[fi]) {
-			keep = append(keep, fi)
-		} else {
-			n.ready.mark[fi] = false
+	ready := &n.ready
+	ready.fold()
+	for i, word := range ready.on {
+		for ; word != 0; word &= word - 1 {
+			fi := bit(i, word)
+			if !n.injectFlow(n.flowSeq[fi]) {
+				ready.drop(fi)
+			}
 		}
 	}
-	n.ready.sorted = keep
 }
 
 // denseInjectPhase is the retained reference: every flow, every cycle, in
 // first-Inject order.
 func (n *Net) denseInjectPhase() {
-	for _, key := range n.order {
-		n.injectFlowStep(key, n.flows[key])
+	for _, f := range n.flowSeq {
+		n.injectFlowStep(f)
 	}
 }
 
@@ -165,8 +165,8 @@ func (n *Net) denseInjectPhase() {
 // in retry backoff (the wake heap re-adds it at wakeAt), or when a CR worm
 // is fully injected and awaiting its tail acceptance (delivery or kill
 // re-adds it).
-func (n *Net) injectFlow(key flowKey, f *flow) bool {
-	n.injectFlowStep(key, f)
+func (n *Net) injectFlow(f *flow) bool {
+	n.injectFlowStep(f)
 	if f.active != nil {
 		return f.active.state == wormInjecting
 	}
@@ -186,22 +186,23 @@ func (n *Net) injectFlow(key flowKey, f *flow) bool {
 // beginning the next, so flits of different packets never interleave in
 // the source FIFO (which would deadlock wormhole flow control: the first
 // worm's body could be trapped behind the second worm's blocked head).
-func (n *Net) injectFlowStep(key flowKey, f *flow) {
-	if f.active == nil && n.injecting[key.src] == nil {
+func (n *Net) injectFlowStep(f *flow) {
+	src := f.key.src
+	if f.active == nil && n.injecting[src] == nil {
 		f.active = n.startNext(f)
 		if f.active != nil {
-			n.injecting[key.src] = f.active
+			n.injecting[src] = f.active
 		}
 	}
 	w := f.active
-	if w == nil || w.state != wormInjecting || n.injMark[key.src] == n.cycle {
+	if w == nil || w.state != wormInjecting || n.injMark[src] == n.cycle {
 		return
 	}
-	if n.injecting[key.src] != w {
+	if n.injecting[src] != w {
 		return // another flow's worm holds this node's send path
 	}
-	srcRouter, srcPort := n.cfg.Topology.NodePort(key.src)
-	if n.routers[srcRouter].inputs[srcPort][w.srcVC].full() {
+	in := n.nodeIn[src] + int32(w.srcVC)
+	if n.lane[in].full() {
 		// The head is stuck at the source; in CR mode a worm that
 		// cannot even enter counts as blocked too.
 		if w.sent == 0 {
@@ -209,12 +210,12 @@ func (n *Net) injectFlowStep(key flowKey, f *flow) {
 		}
 		return
 	}
-	n.pushFlit(srcRouter, srcPort, w.srcVC, flit{worm: w, kind: n.flitKind(w), arrived: n.cycle})
+	n.pushFlit(in, w.srcVC, flit{worm: w, kind: n.flitKind(w), arrived: n.cycle})
 	w.sent++
-	n.injMark[key.src] = n.cycle
+	n.injMark[src] = n.cycle
 	if w.sent == w.flits {
 		w.state = wormInFlight
-		n.injecting[key.src] = nil
+		n.injecting[src] = nil
 		if n.cfg.Mode != CR {
 			// Non-CR flows pipeline: the next worm may start while
 			// this one's tail is still traveling.
@@ -278,63 +279,72 @@ func (n *Net) flitKind(w *worm) flitKind {
 
 // routePhase advances at most one flit per occupied input lane per cycle,
 // with each physical output port carrying at most one flit per cycle. It
-// walks the active-lane worklist — sorted in the dense scan's (router,
-// port) order with the per-cycle virtual-channel rotation applied within
-// each port — and compacts lanes that have drained out of the list.
+// visits the active-lane bitmap in ascending id order — the dense scan's
+// (router, port) order, with the per-cycle virtual-channel rotation applied
+// within each port — and drops each lane that has drained at its visit.
 func (n *Net) routePhase() {
-	n.lanes.merge()
+	lanes := &n.lanes
+	lanes.fold()
 	vcs := n.cfg.VirtualChannels
-	lanes := n.lanes.sorted
-	keep := lanes[:0]
 	if vcs == 1 {
-		for _, id := range lanes {
-			r, port := int(n.laneRouter[id]), int(n.lanePort[id])
-			n.advanceLane(r, port, 0)
-			if n.routers[r].inputs[port][0].len() > 0 {
-				keep = append(keep, id)
-			} else {
-				n.lanes.mark[id] = false
-			}
-		}
-		n.lanes.sorted = keep
-		return
-	}
-	for i := 0; i < len(lanes); {
-		// One (router, port) group is a run of ids sharing id/vcs
-		// (laneBase is a multiple of vcs, so the quotient is globally
-		// unique per physical port).
-		group := lanes[i] / int32(vcs)
-		j := i + 1
-		for j < len(lanes) && lanes[j]/int32(vcs) == group {
-			j++
-		}
-		base := group * int32(vcs)
-		r, port := int(n.laneRouter[base]), int(n.lanePort[base])
-		// Rotate virtual-channel priority each cycle for fairness —
-		// the same rotation the dense scan applied to all vcs, here
-		// restricted to the occupied ones (visiting an empty lane was
-		// a no-op).
-		for v := 0; v < vcs; v++ {
-			vc := (v + int(n.cycle)) % vcs
-			id := base + int32(vc)
-			for k := i; k < j; k++ {
-				if lanes[k] == id {
-					n.advanceLane(r, port, vc)
-					break
+		for i, word := range lanes.on {
+			for ; word != 0; word &= word - 1 {
+				id := bit(i, word)
+				n.advanceLane(int(n.laneRouter[id]), int(n.lanePort[id]), 0, id)
+				if n.lane[id].len() == 0 {
+					lanes.drop(id)
 				}
 			}
 		}
-		for k := i; k < j; k++ {
-			id := lanes[k]
-			if n.routers[r].inputs[port][int(id-base)].len() > 0 {
-				keep = append(keep, id)
-			} else {
-				n.lanes.mark[id] = false
+		return
+	}
+	// One (router, port) group is the vcs consecutive ids sharing id/vcs
+	// (laneBase is a multiple of vcs, so the quotient is globally unique
+	// per physical port). A group is visited once, at its first set bit;
+	// its later bits, in this word or — where the group straddles a word
+	// boundary — the next, are skipped.
+	rot := int(n.cycle % uint64(vcs))
+	last := int32(-1)
+	for i := range lanes.on {
+		// Reread the word: a group visited at the end of the previous
+		// word may have dropped its bits here.
+		for word := lanes.on[i]; word != 0; word &= word - 1 {
+			group := bit(i, word) / int32(vcs)
+			if group == last {
+				continue
+			}
+			last = group
+			base := group * int32(vcs)
+			r, port := int(n.laneRouter[base]), int(n.lanePort[base])
+			// The lanes set at the group's visit are the ones to advance
+			// and, once drained, drop; a lane added mid-phase waits in
+			// added for the next fold.
+			var members uint8
+			for vc := 0; vc < vcs; vc++ {
+				if lanes.has(base + int32(vc)) {
+					members |= 1 << vc
+				}
+			}
+			// Rotate virtual-channel priority each cycle for fairness —
+			// the same rotation the dense scan applied to all vcs, here
+			// restricted to the occupied ones (visiting an empty lane was
+			// a no-op).
+			for v := 0; v < vcs; v++ {
+				vc := rot + v
+				if vc >= vcs {
+					vc -= vcs
+				}
+				if members&(1<<vc) != 0 {
+					n.advanceLane(r, port, vc, base+int32(vc))
+				}
+			}
+			for vc := 0; vc < vcs; vc++ {
+				if id := base + int32(vc); members&(1<<vc) != 0 && n.lane[id].len() == 0 {
+					lanes.drop(id)
+				}
 			}
 		}
-		i = j
 	}
-	n.lanes.sorted = keep
 }
 
 // denseRoutePhase is the retained reference: every lane of every router,
@@ -342,18 +352,21 @@ func (n *Net) routePhase() {
 func (n *Net) denseRoutePhase() {
 	vcs := n.cfg.VirtualChannels
 	for r := range n.routers {
-		for port := range n.routers[r].inputs {
+		for port := range n.routers[r].owner {
+			base := n.laneID(r, port, 0)
 			for v := 0; v < vcs; v++ {
 				vc := (v + int(n.cycle)) % vcs
-				n.advanceLane(r, port, vc)
+				n.advanceLane(r, port, vc, base+int32(vc))
 			}
 		}
 	}
 }
 
-func (n *Net) advanceLane(r, port, vc int) {
+// advanceLane moves the front flit of input lane id, which is virtual
+// channel vc of port port of router r, at most one hop.
+func (n *Net) advanceLane(r, port, vc int, id int32) {
 	rt := &n.routers[r]
-	buf := &rt.inputs[port][vc]
+	buf := &n.lane[id]
 	if buf.len() == 0 {
 		return
 	}
@@ -374,7 +387,7 @@ func (n *Net) advanceLane(r, port, vc int) {
 		// is a body/tail flit following the head.
 		out = buf.claim
 	} else if fl.kind == flitHead {
-		claimed, ok := n.routeHead(r, port, vc, w)
+		claimed, ok := n.routeHead(r, port, vc, id, w)
 		if !ok {
 			return // blocked, consumed at a terminal, or killed
 		}
@@ -403,7 +416,8 @@ func (n *Net) advanceLane(r, port, vc int) {
 		return
 	}
 	// Router-to-router hop: needs space downstream on the claimed lane.
-	if n.routers[h.peer].inputs[h.peerPort][out.vc].full() {
+	next := h.lane + int32(out.vc)
+	if n.lane[next].full() {
 		if fl.kind == flitHead {
 			n.noteBlocked(w)
 		}
@@ -411,7 +425,7 @@ func (n *Net) advanceLane(r, port, vc int) {
 	}
 	n.popFlit(buf, vc)
 	fl.arrived = n.cycle
-	n.pushFlit(int(h.peer), int(h.peerPort), out.vc, fl)
+	n.pushFlit(next, out.vc, fl)
 	rt.outUsed[out.port] = n.cycle
 	n.stats.FlitMoves++
 	if n.linkObs != nil {
@@ -425,14 +439,15 @@ func (n *Net) advanceLane(r, port, vc int) {
 	}
 }
 
-// routeHead claims an output lane for a worm's head at router r, returning
+// routeHead claims an output lane of router r for the worm whose head is
+// at the front of input lane id (virtual channel vc of port), returning
 // (lane, true) on success. On rejection the worm is killed; on blocking the
 // head stays put; on delivery at a terminal the head is consumed and
 // (lane, false) is returned with the claim recorded.
-func (n *Net) routeHead(r, port, vc int, w *worm) (lane, bool) {
+func (n *Net) routeHead(r, port, vc int, id int32, w *worm) (lane, bool) {
 	rt := &n.routers[r]
-	n.routeScratch = n.cfg.Topology.RouteAppend(r, port, w.packet.Dst, n.routeScratch[:0])
-	cands := n.routeScratch
+	buf := &n.lane[id]
+	cands := n.routeFrom(r, port, buf, w.packet.Dst)
 	if len(cands) == 0 {
 		n.kill(w, "unroutable")
 		return lane{}, false
@@ -470,8 +485,8 @@ func (n *Net) routeHead(r, port, vc int, w *worm) (lane, bool) {
 				n.kill(w, "rejected")
 				return lane{}, false
 			}
-			n.claim(rt, r, port, vc, out, w)
-			n.popFlit(&rt.inputs[port][vc], vc) // consume the head
+			n.claim(rt, id, out, w)
+			n.popFlit(buf, vc) // consume the head
 			rt.outUsed[cand] = n.cycle
 			n.stats.FlitMoves++
 			if n.linkObs != nil {
@@ -490,11 +505,11 @@ func (n *Net) routeHead(r, port, vc int, w *worm) (lane, bool) {
 			if rt.owner[cand][outVC] != nil {
 				continue
 			}
-			if n.routers[h.peer].inputs[h.peerPort][outVC].full() {
+			if n.lane[h.lane+int32(outVC)].full() {
 				continue
 			}
 			out := lane{cand, outVC}
-			n.claim(rt, r, port, vc, out, w)
+			n.claim(rt, id, out, w)
 			return out, true
 		}
 	}
@@ -502,13 +517,31 @@ func (n *Net) routeHead(r, port, vc int, w *worm) (lane, bool) {
 	return lane{}, false
 }
 
-// claim gives w, whose head is at the front of input lane (r, port, vc),
-// output lane out of router r, recording the claim on the input lane.
-func (n *Net) claim(rt *router, r, port, vc int, out lane, w *worm) {
+// routeFrom returns the route candidates for dst from input lane in of
+// (r, port): the lane's cached route when its last head went to dst, and
+// otherwise a fresh Topology.RouteAppend into the lane's cache.
+func (n *Net) routeFrom(r, port int, in *laneFIFO, dst int) []int {
+	if in.routeDst != dst {
+		n.reroute(r, port, in, dst)
+	}
+	return in.route
+}
+
+// reroute is routeFrom's miss path, kept out of line so the hit inlines.
+//
+//go:noinline
+func (n *Net) reroute(r, port int, in *laneFIFO, dst int) {
+	in.route = n.cfg.Topology.RouteAppend(r, port, dst, in.route[:0])
+	in.routeDst = dst
+}
+
+// claim gives w, whose head is at the front of input lane id, output lane
+// out of that lane's router rt, recording the claim on the input lane.
+func (n *Net) claim(rt *router, id int32, out lane, w *worm) {
 	rt.owner[out.port][out.vc] = w
-	buf := &rt.inputs[port][vc]
+	buf := &n.lane[id]
 	buf.claimW, buf.claim = w, out
-	w.pushClaim(n.laneID(r, port, vc))
+	w.pushClaim(id)
 }
 
 // noteBlocked ages a blocked head and applies the CR kill timeout. The
@@ -562,7 +595,8 @@ func (n *Net) finishWorm(rt *router, buf *laneFIFO, w *worm, node int) {
 // (in non-CR modes it only fires on misroutes, which are topology bugs).
 // The sweep visits only the active lanes (a flit can only sit in an
 // occupied lane) and the lanes the worm actually claimed, so a kill
-// costs O(flits in flight + path length) rather than a full-topology scan.
+// costs O(lanes/64 + occupied lanes + path length) rather than a
+// full-topology scan.
 // The worm retries after a backoff, re-entering its flow queue at the front
 // so transmission order is preserved; retry exhaustion fails the injection
 // and recycles the worm and its payload buffer.
@@ -578,30 +612,24 @@ func (n *Net) kill(w *worm, reason string) {
 		n.obs.Event(killEventName(reason), n.cycle, msg, pkt, parent)
 	}
 
-	// Sweep the worm's flits out of every occupied lane. The worklist may
-	// be mid-compaction (kill fires from inside the route phase), in which
-	// case it briefly holds duplicate or already-drained ids — filterWorm
-	// is idempotent and a miss on an empty lane is a no-op, so sweeping
-	// the superset is safe.
-	for _, id := range n.lanes.sorted {
-		vc := int(id) % n.cfg.VirtualChannels
-		if removed := n.routers[n.laneRouter[id]].inputs[n.lanePort[id]][vc].filterWorm(w); removed > 0 && n.gauges != nil {
-			n.buffered -= removed
-			n.bufferedVC[vc] -= removed
-		}
-	}
-	for _, id := range n.lanes.added {
-		vc := int(id) % n.cfg.VirtualChannels
-		if removed := n.routers[n.laneRouter[id]].inputs[n.lanePort[id]][vc].filterWorm(w); removed > 0 && n.gauges != nil {
-			n.buffered -= removed
-			n.bufferedVC[vc] -= removed
+	// Sweep the worm's flits out of every lane set in either bitmap: a
+	// superset of the occupied lanes, since on keeps a lane an earlier
+	// kill emptied until the route phase visits and drops it. A miss on
+	// an empty lane is a no-op, so sweeping the superset is safe.
+	for i, word := range n.lanes.on {
+		for word |= n.lanes.added[i]; word != 0; word &= word - 1 {
+			id := bit(i, word)
+			vc := int(id) % n.cfg.VirtualChannels
+			if removed := n.lane[id].filterWorm(w); removed > 0 && n.gauges != nil {
+				n.buffered -= removed
+				n.bufferedVC[vc] -= removed
+			}
 		}
 	}
 	// Release the output lanes the worm still claims, in path order.
 	for _, id := range w.claims[w.claimHead:] {
-		rt := &n.routers[n.laneRouter[id]]
-		if buf := &rt.inputs[n.lanePort[id]][int(id)%n.cfg.VirtualChannels]; buf.claimW == w {
-			rt.release(buf)
+		if buf := &n.lane[id]; buf.claimW == w {
+			n.routers[n.laneRouter[id]].release(buf)
 		}
 	}
 	w.claims = w.claims[:0]

@@ -27,6 +27,7 @@ package flitnet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"msglayer/internal/network"
 	"msglayer/internal/obs"
@@ -194,12 +195,22 @@ type lane struct {
 // worm's later flits follow it there. Only the front flit reads the claim,
 // and the next worm's head reaches the front only after claimW's tail has
 // left — releasing the claim as it goes — so one slot per lane suffices.
+//
+// routeDst and route cache the route candidates of the last destination a
+// head was routed to from this lane. Topology.RouteAppend is a pure
+// function of (router, inPort, dst) and a lane fixes the router and the
+// inPort, so the cache is exact; a head blocked for many cycles, or the
+// next worm of the same flow, reuses it instead of routing again. route's
+// capacity is the router's port count (candidates are distinct ports), so
+// refilling it never allocates.
 type laneFIFO struct {
-	buf    []flit
-	head   int
-	n      int
-	claimW *worm
-	claim  lane
+	buf      []flit
+	head     int
+	n        int
+	claimW   *worm
+	claim    lane
+	routeDst int
+	route    []int
 }
 
 func (q *laneFIFO) len() int   { return q.n }
@@ -241,8 +252,7 @@ func (q *laneFIFO) filterWorm(w *worm) int {
 }
 
 type router struct {
-	inputs [][]laneFIFO // [port][vc] input buffer
-	owner  [][]*worm    // [port][vc] output lane -> owning worm
+	owner [][]*worm // [port][vc] output lane -> owning worm
 	// link[port] is the far end of each port, tabulated from
 	// Topology.Neighbor once at construction.
 	link []hop
@@ -254,9 +264,11 @@ type router struct {
 
 // hop is one entry of the neighbor table, in Topology.Neighbor's form:
 // (peer, peerPort, Terminal) for a router link, (Terminal, 0, node) for a
-// node attachment.
+// node attachment. lane is the id of virtual channel 0 of the peer's input
+// port (peer, peerPort), so channel vc there is lane+vc; -1 where no
+// router is attached.
 type hop struct {
-	peer, peerPort, node int32
+	peer, peerPort, node, lane int32
 }
 
 // release drops the claim input lane buf holds, freeing the output lane
@@ -273,10 +285,11 @@ type flowKey struct {
 }
 
 type flow struct {
+	key    flowKey
 	queue  []*worm // worms awaiting injection, in order; head indexes the front
 	head   int
 	active *worm // the worm currently entering the network (CR: at most one in flight)
-	idx    int32 // position in Net.order — the ready worklist's sort key
+	idx    int32 // position in Net.flowSeq — the ready worklist's id
 	// padTo (CR only) is the flow's minimum worm length: head, one flit
 	// per router on the deterministic path, and tail.
 	padTo int
@@ -298,6 +311,68 @@ func (f *flow) popFront() *worm {
 }
 
 func (f *flow) pushBack(w *worm) { f.queue = append(f.queue, w) }
+
+// flowTable finds a flow by its (src, dst) pair without a Go map: open
+// addressing with linear probing, kept at most half full. Its size follows
+// the flows seen, not nodes², so a large topology carrying little traffic
+// pays for little table. Slots hold one more than the flow's index in
+// Net.flowSeq (0 is empty); int32 slots hold no pointers, so the collector
+// never scans the table.
+type flowTable struct {
+	slot  []int32 // length a power of two, or 0 before the first flow
+	shift uint    // 64 - log2(len(slot))
+}
+
+// home is the first slot probed for (src, dst): Fibonacci hashing of the
+// packed pair (injective for node numbers below 2^32).
+func (t *flowTable) home(src, dst int) int {
+	return int((uint64(src)<<32 | uint64(dst)) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// find returns the flow for (src, dst) among seq, or nil if it has none.
+func (t *flowTable) find(seq []*flow, src, dst int) *flow {
+	if len(t.slot) == 0 {
+		return nil
+	}
+	mask := len(t.slot) - 1
+	for i := t.home(src, dst); ; i = (i + 1) & mask {
+		at := t.slot[i]
+		if at == 0 {
+			return nil
+		}
+		if f := seq[at-1]; f.key.src == src && f.key.dst == dst {
+			return f
+		}
+	}
+}
+
+// insert records seq's last flow, which find does not yet know, doubling
+// the table (and re-placing every flow) when it would pass half full.
+func (t *flowTable) insert(seq []*flow) {
+	if 2*len(seq) > len(t.slot) {
+		size := 16
+		for size < 2*len(seq) {
+			size *= 2
+		}
+		t.slot = make([]int32, size)
+		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+		for _, f := range seq {
+			t.place(f)
+		}
+		return
+	}
+	t.place(seq[len(seq)-1])
+}
+
+// place stores f in the first empty slot of its probe sequence.
+func (t *flowTable) place(f *flow) {
+	mask := len(t.slot) - 1
+	i := t.home(f.key.src, f.key.dst)
+	for t.slot[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.slot[i] = f.idx + 1
+}
 
 // pushFront re-queues a killed worm at the front, reusing the popped slot
 // when one exists so retries do not reallocate the queue.
@@ -402,10 +477,14 @@ func (q *pktQueue) pop() (network.Packet, bool) {
 // may backpressure; packets appear at TryRecv once their tail is accepted)
 // plus Tick to advance simulated time.
 type Net struct {
-	cfg       Config
-	routers   []router
-	flows     map[flowKey]*flow
-	order     []flowKey // deterministic iteration order for flows
+	cfg     Config
+	routers []router
+	// flows finds a (src, dst) pair's flow in flowSeq.
+	flows flowTable
+	// nodeIn[node] is the lane id of virtual channel 0 of the input port
+	// a node's traffic enters at, tabulated from Topology.NodePort once at
+	// construction.
+	nodeIn    []int32
 	recvq     []pktQueue
 	accepts   []network.Acceptor
 	nextID    uint64
@@ -422,28 +501,28 @@ type Net struct {
 	// failure (a delivered payload escapes to the receiver via TryRecv).
 	wormPool []*worm
 	wordPool [][]network.Word
-	// routeScratch is the reusable candidate buffer handed to
-	// Topology.RouteAppend, one head routing at a time.
-	routeScratch []int
 
 	// --- event-driven engine state ------------------------------------
 	//
 	// The route phase iterates lanes, the inject phase iterates flows, and
-	// both worklists are sorted so the sparse iteration replays the dense
-	// scan's visiting order exactly; see engine.go for the contract.
+	// both worklists visit their ids in ascending order, so the sparse
+	// iteration replays the dense scan's visiting order exactly; see
+	// engine.go for the contract.
 
 	// dense selects the retained dense reference stepper (Config.
 	// DenseReference). The worklists stay maintained either way, so a
 	// dense net can be compared against an event-driven twin at any point.
 	dense bool
 	// lanes is the active-lane worklist: every lane currently holding at
-	// least one flit is marked here. Ids are ascending (router, port, vc),
+	// least one flit is set here. Ids are ascending (router, port, vc),
 	// the dense scan order; laneRouter/lanePort/laneBase decode them.
-	lanes      worklist
+	lanes worklist
+	// lane holds every input lane by id.
+	lane       []laneFIFO
 	laneRouter []int32
 	lanePort   []int32
 	laneBase   []int32
-	// ready is the injectable-flow worklist, sorted by flow order index.
+	// ready is the injectable-flow worklist, by flowSeq index.
 	// Flows leave it when they drain, sleep in retry backoff (parking in
 	// wake), or wait on a CR tail acceptance, and return on Inject, kill,
 	// delivery, or backoff expiry.
@@ -451,8 +530,8 @@ type Net struct {
 	// wake holds sleeping flows keyed by their front worm's wakeAt; its
 	// minimum is the idle fast-forward target.
 	wake wakeHeap
-	// flowSeq maps a flow's order index back to the flow, parallel to
-	// order.
+	// flowSeq lists the flows in first-Inject order, the dense scan's
+	// flow order.
 	flowSeq []*flow
 	// queuedWorms counts worms sitting in flow queues and recvqTotal the
 	// delivered-but-unread packets, so quiet() and Pending() are O(1)
@@ -531,63 +610,72 @@ func New(cfg Config) (*Net, error) {
 	n := &Net{
 		cfg:       cfg,
 		routers:   make([]router, cfg.Topology.NumRouters()),
-		flows:     make(map[flowKey]*flow),
+		nodeIn:    make([]int32, nodes),
 		recvq:     make([]pktQueue, nodes),
 		accepts:   make([]network.Acceptor, nodes),
 		queued:    make([]int, nodes),
 		injecting: make([]*worm, nodes),
 		injMark:   make([]uint64, nodes),
 	}
-	totalPorts := 0
+	vcs := cfg.VirtualChannels
+	// Lane ids: id = laneBase[r] + port*vcs + vc, so ascending ids replay
+	// the dense scan's (router, port, vc) order and id/vcs uniquely
+	// identifies a physical input port (laneBase is a multiple of vcs).
+	n.laneBase = make([]int32, len(n.routers))
+	total, routeCap := 0, 0
 	for r := range n.routers {
-		totalPorts += cfg.Topology.Ports(r)
+		ports := cfg.Topology.Ports(r)
+		n.laneBase[r] = int32(total)
+		total += ports * vcs
+		routeCap += ports * ports * vcs
 	}
-	links := make([]hop, 0, totalPorts)
+	for node := range n.nodeIn {
+		r, p := cfg.Topology.NodePort(node)
+		n.nodeIn[node] = n.laneID(r, p, 0)
+	}
+	links := make([]hop, 0, total/vcs)
+	// Every lane's route cache is carved from one array, at capacity
+	// Ports(r): a route lists distinct ports, so no refill outgrows it.
+	routes := make([]int, routeCap)
+	// All lanes, and all their flit rings, live in one array each, in
+	// lane id order.
+	n.lane = make([]laneFIFO, total)
+	n.laneRouter = make([]int32, total)
+	n.lanePort = make([]int32, total)
+	flits := make([]flit, total*cfg.BufferFlits)
+	id := 0
 	for r := range n.routers {
 		ports := cfg.Topology.Ports(r)
 		first := len(links)
 		for p := 0; p < ports; p++ {
 			peer, peerPort, node := cfg.Topology.Neighbor(r, p)
-			links = append(links, hop{int32(peer), int32(peerPort), int32(node)})
-		}
-		inputs := make([][]laneFIFO, ports)
-		owner := make([][]*worm, ports)
-		for p := range inputs {
-			inputs[p] = make([]laneFIFO, cfg.VirtualChannels)
-			for v := range inputs[p] {
-				inputs[p][v].buf = make([]flit, cfg.BufferFlits)
+			h := hop{peer: int32(peer), peerPort: int32(peerPort), node: int32(node), lane: -1}
+			if peer != topology.Terminal {
+				h.lane = n.laneID(peer, peerPort, 0)
 			}
-			owner[p] = make([]*worm, cfg.VirtualChannels)
+			links = append(links, h)
+		}
+		owner := make([][]*worm, ports)
+		for p := range owner {
+			for v := 0; v < vcs; v++ {
+				q := &n.lane[id]
+				q.buf, flits = flits[:cfg.BufferFlits:cfg.BufferFlits], flits[cfg.BufferFlits:]
+				q.routeDst = -1
+				q.route, routes = routes[:0:ports], routes[ports:]
+				n.laneRouter[id] = int32(r)
+				n.lanePort[id] = int32(p)
+				id++
+			}
+			owner[p] = make([]*worm, vcs)
 		}
 		n.routers[r] = router{
-			inputs:  inputs,
 			owner:   owner,
 			link:    links[first:len(links):len(links)],
 			outUsed: make([]uint64, ports),
 		}
 	}
 	n.dense = cfg.DenseReference
-	// Lane id tables: id = laneBase[r] + port*vcs + vc, so ascending ids
-	// replay the dense scan's (router, port, vc) order and id/vcs uniquely
-	// identifies a physical input port (laneBase is a multiple of vcs).
-	n.laneBase = make([]int32, len(n.routers))
-	total := int32(0)
-	for r := range n.routers {
-		n.laneBase[r] = total
-		total += int32(len(n.routers[r].inputs) * cfg.VirtualChannels)
-	}
-	n.laneRouter = make([]int32, total)
-	n.lanePort = make([]int32, total)
-	for r := range n.routers {
-		for p := range n.routers[r].inputs {
-			for v := 0; v < cfg.VirtualChannels; v++ {
-				id := n.laneBase[r] + int32(p*cfg.VirtualChannels+v)
-				n.laneRouter[id] = int32(r)
-				n.lanePort[id] = int32(p)
-			}
-		}
-	}
-	n.lanes.grow(int(total))
+	n.lanes.grow(total)
 	return n, nil
 }
 
@@ -596,13 +684,13 @@ func (n *Net) laneID(r, port, vc int) int32 {
 	return n.laneBase[r] + int32(port*n.cfg.VirtualChannels+vc)
 }
 
-// pushFlit places a flit into a lane and activates the lane in the
-// worklist. Every flit enters a buffer through here, which is what keeps
-// the active-lane set a superset of the occupied lanes at all times — and
-// the buffered-flit gauges exact.
-func (n *Net) pushFlit(r, port, vc int, fl flit) {
-	n.routers[r].inputs[port][vc].push(fl)
-	n.lanes.add(n.laneID(r, port, vc))
+// pushFlit places a flit into lane id, virtual channel vc of its port, and
+// activates the lane in the worklist. Every flit enters a buffer through
+// here, which is what keeps the active-lane set a superset of the occupied
+// lanes at all times — and the buffered-flit gauges exact.
+func (n *Net) pushFlit(id int32, vc int, fl flit) {
+	n.lane[id].push(fl)
+	n.lanes.add(id)
 	if n.gauges != nil {
 		n.buffered++
 		n.bufferedVC[vc]++
@@ -639,7 +727,7 @@ func (n *Net) Name() string {
 func (n *Net) Close() {}
 
 // Nodes implements network.Network.
-func (n *Net) Nodes() int { return n.cfg.Topology.Nodes() }
+func (n *Net) Nodes() int { return len(n.nodeIn) }
 
 // PacketWords implements network.Network.
 func (n *Net) PacketWords() int { return n.cfg.PacketWords }
@@ -671,10 +759,9 @@ func (n *Net) Inject(p network.Packet) error {
 	copy(data, p.Data)
 	p.Data = data
 
-	key := flowKey{p.Src, p.Dst}
-	f := n.flows[key]
+	f := n.flows.find(n.flowSeq, p.Src, p.Dst)
 	if f == nil {
-		f = n.newFlow(key)
+		f = n.newFlow(flowKey{p.Src, p.Dst})
 	}
 	w := n.getWorm()
 	*w = worm{id: n.nextID, packet: p, flow: f, state: wormQueued, injected: n.cycle, waitFrom: n.cycle, claims: w.claims[:0]}
@@ -777,15 +864,15 @@ func (n *Net) observing() bool { return n.gauges != nil || n.onCycle != nil }
 // deterministic path from source to destination, so the tail's acceptance
 // is an end-to-end acknowledgement.
 func (n *Net) newFlow(key flowKey) *flow {
-	f := &flow{idx: int32(len(n.order))}
+	f := &flow{key: key, idx: int32(len(n.flowSeq))}
 	if n.cfg.Mode == CR {
 		if path := topology.DeterministicPath(n.cfg.Topology, key.src, key.dst); path != nil {
 			f.padTo = len(path) + 2
 		}
 	}
-	n.flows[key] = f
-	n.order = append(n.order, key)
 	n.flowSeq = append(n.flowSeq, f)
+	n.flows.insert(n.flowSeq)
+	n.ready.grow(len(n.flowSeq))
 	return f
 }
 

@@ -2,6 +2,9 @@ package flitnet
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
 
 	"msglayer/internal/network"
@@ -11,7 +14,9 @@ import (
 // TestNeighborTableMatchesTopology holds the neighbor table built in New to
 // Topology.Neighbor for every (router, port): fat trees of every arity and
 // depth the engine is run on, and meshes including the degenerate 1×N
-// shapes and their unconnected off-mesh ports.
+// shapes and their unconnected off-mesh ports. Each router link's lane
+// names the peer's input lanes, and each node's injection lane the lanes
+// of the port Topology.NodePort names.
 func TestNeighborTableMatchesTopology(t *testing.T) {
 	var topos []topology.Topology
 	for _, k := range []int{2, 3, 4} {
@@ -31,10 +36,163 @@ func TestNeighborTableMatchesTopology(t *testing.T) {
 			}
 			for p, h := range links {
 				peer, peerPort, node := topo.Neighbor(r, p)
-				if want := (hop{int32(peer), int32(peerPort), int32(node)}); h != want {
+				want := hop{int32(peer), int32(peerPort), int32(node), -1}
+				if peer != topology.Terminal {
+					want.lane = n.laneID(peer, peerPort, 0)
+					if n.laneRouter[want.lane] != int32(peer) || n.lanePort[want.lane] != int32(peerPort) {
+						t.Fatalf("%s: lane %d is not input (%d,%d,0)", topo.Name(), want.lane, peer, peerPort)
+					}
+				}
+				if h != want {
 					t.Errorf("%s: link(%d,%d) = %+v, Neighbor says %+v", topo.Name(), r, p, h, want)
 				}
 			}
+		}
+		for node := 0; node < topo.Nodes(); node++ {
+			r, p := topo.NodePort(node)
+			if id := n.nodeIn[node]; id != n.laneID(r, p, 0) || n.laneRouter[id] != int32(r) || n.lanePort[id] != int32(p) {
+				t.Errorf("%s: node %d injects on lane %d, not on input (%d,%d,0)", topo.Name(), node, n.nodeIn[node], r, p)
+			}
+		}
+	}
+}
+
+// TestRouteCacheMatchesTopology holds every lane's route cache to
+// Topology.RouteAppend: for each destination, every lane of every router
+// is routed through its cache and each answer, and each lane's cached
+// slice afterwards, must equal the topology's candidates. Visiting every
+// lane before checking any catches caches that share storage; routing
+// each destination twice, and in descending order after ascending,
+// covers hits and misses. Refills stay within the capacity carved in New.
+func TestRouteCacheMatchesTopology(t *testing.T) {
+	var topos []topology.Topology
+	for _, k := range []int{2, 3, 4} {
+		for _, lv := range []int{1, 2, 3} {
+			topos = append(topos, topology.MustFatTree(k, lv))
+		}
+	}
+	for _, wh := range [][2]int{{1, 1}, {1, 5}, {5, 1}, {4, 4}, {3, 5}} {
+		topos = append(topos, topology.MustMesh(wh[0], wh[1]))
+	}
+	for _, topo := range topos {
+		for _, vcs := range []int{1, 3} {
+			n := MustNew(Config{Topology: topo, Mode: Adaptive, VirtualChannels: vcs})
+			nodes := topo.Nodes()
+			dsts := make([]int, 0, 4*nodes)
+			for pass := 0; pass < 2; pass++ {
+				for d := 0; d < nodes; d++ {
+					dsts = append(dsts, d, d)
+				}
+				for d := nodes - 1; d >= 0; d-- {
+					dsts = append(dsts, d)
+				}
+			}
+			for _, dst := range dsts {
+				for r := range n.routers {
+					for p := 0; p < topo.Ports(r); p++ {
+						for v := 0; v < vcs; v++ {
+							in := &n.lane[n.laneID(r, p, v)]
+							got := n.routeFrom(r, p, in, dst)
+							if want := topo.Route(r, p, dst); !slices.Equal(got, want) {
+								t.Fatalf("%s vc%d: lane (%d,%d,%d) routes dst %d to %v, topology says %v", topo.Name(), vcs, r, p, v, dst, got, want)
+							}
+							if cap(in.route) != topo.Ports(r) {
+								t.Fatalf("%s vc%d: lane (%d,%d,%d) cache capacity %d, router has %d ports", topo.Name(), vcs, r, p, v, cap(in.route), topo.Ports(r))
+							}
+						}
+					}
+				}
+				for r := range n.routers {
+					for p := 0; p < topo.Ports(r); p++ {
+						for v := 0; v < vcs; v++ {
+							in := &n.lane[n.laneID(r, p, v)]
+							if want := topo.Route(r, p, dst); in.routeDst != dst || !slices.Equal(in.route, want) {
+								t.Fatalf("%s vc%d: after routing every lane to %d, lane (%d,%d,%d) caches dst %d as %v, want %v", topo.Name(), vcs, dst, r, p, v, in.routeDst, in.route, want)
+							}
+						}
+					}
+				}
+			}
+			in := &n.lane[n.laneID(0, 0, 0)]
+			if allocs := testing.AllocsPerRun(10, func() {
+				for dst := 0; dst < nodes; dst++ {
+					n.routeFrom(0, 0, in, dst)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s vc%d: refilling a route cache made %v allocs, want 0", topo.Name(), vcs, allocs)
+			}
+		}
+	}
+}
+
+// TestWorklistBitmap drives the bitmap worklist the way the phases do,
+// against a plain set: at each phase the fold moves every earlier addition
+// in, the visit sees exactly the set as of the fold in ascending order,
+// additions made during the visit wait for the next fold even when they
+// land ahead of the visiting position, ids dropped at their visit leave,
+// and count always equals a full scan of both bitmaps.
+func TestWorklistBitmap(t *testing.T) {
+	const ids = 200 // a partial last word
+	var w worklist
+	w.grow(ids)
+	if len(w.on) != (ids+63)/64 {
+		t.Fatalf("grow(%d) made %d words", ids, len(w.on))
+	}
+	rng := diffRNG(11)
+	set := make(map[int32]bool)    // the active set, as of now
+	folded := make(map[int32]bool) // the ids the next visit must see
+	scan := func() int {
+		c := 0
+		for i := range w.on {
+			if w.on[i]&w.added[i] != 0 {
+				t.Fatalf("word %d: on and added overlap", i)
+			}
+			c += bits.OnesCount64(w.on[i] | w.added[i])
+		}
+		return c
+	}
+	for phase := 0; phase < 300; phase++ {
+		for k := rng.intn(20); k > 0; k-- {
+			id := int32(rng.intn(ids))
+			w.add(id)
+			set[id] = true
+		}
+		if w.count() != scan() || w.count() != len(set) {
+			t.Fatalf("phase %d: count %d, scan %d, set %d", phase, w.count(), scan(), len(set))
+		}
+		w.fold()
+		for id := range set {
+			folded[id] = true
+		}
+		var want []int32
+		for id := range folded {
+			want = append(want, id)
+		}
+		slices.Sort(want)
+		var got []int32
+		for i, word := range w.on {
+			for ; word != 0; word &= word - 1 {
+				id := bit(i, word)
+				got = append(got, id)
+				// Mid-visit additions: anywhere, including ids ahead of
+				// this one that are not yet active.
+				for k := rng.intn(3); k > 0; k-- {
+					add := int32(rng.intn(ids))
+					w.add(add)
+					set[add] = true
+				}
+				if rng.intn(2) == 0 {
+					w.drop(id)
+					delete(set, id)
+					delete(folded, id)
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("phase %d: visited %v, want the folded set %v", phase, got, want)
+		}
+		if w.count() != scan() || w.count() != len(set) {
+			t.Fatalf("phase %d after visit: count %d, scan %d, set %d", phase, w.count(), scan(), len(set))
 		}
 	}
 }
@@ -105,9 +263,9 @@ func checkClaimsReleased(t *testing.T, name string, cfg Config, seed uint64, loa
 	}
 	for r := range n.routers {
 		rt := &n.routers[r]
-		for p := range rt.inputs {
-			for v := range rt.inputs[p] {
-				if w := rt.inputs[p][v].claimW; w != nil {
+		for p := range rt.owner {
+			for v := range rt.owner[p] {
+				if w := n.lane[n.laneID(r, p, v)].claimW; w != nil {
 					t.Fatalf("%s: input lane (%d,%d,%d) still claimed by worm %d", name, r, p, v, w.id)
 				}
 				if w := rt.owner[p][v]; w != nil {
@@ -152,6 +310,91 @@ func TestCRInjectAllocsFlatInPathLength(t *testing.T) {
 	long := testing.AllocsPerRun(100, func() { send(width - 1) })
 	if short > 1 || long > 1 {
 		t.Errorf("allocs per CR packet: %v over a 2-router path, %v over a %d-router path; want <= 1 each", short, long, width)
+	}
+}
+
+// TestTickSaturatedAllocs holds BenchmarkTickSaturated's loop to zero
+// allocations: past saturation, where most head routings are retries, the
+// inject, route and receive paths allocate nothing once warm. It also
+// checks the load is past saturation: the inject queues backpressure, and
+// in CR blocked heads time out.
+func TestTickSaturatedAllocs(t *testing.T) {
+	for _, mode := range []Mode{CR, Adaptive} {
+		n, step := saturatedStep(mode)
+		if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+			t.Errorf("%s: %v allocs per saturated cycle, want 0", mode, allocs)
+		}
+		st := n.FlitStats()
+		if st.Backpressure == 0 {
+			t.Errorf("%s: load 0.3 never backpressured; the fat tree is not saturated", mode)
+		}
+		if mode == CR && st.Kills == 0 {
+			t.Errorf("%s: no blocked head timed out", mode)
+		}
+	}
+}
+
+// TestLargeMeshMemoryFollowsTraffic builds a 128×128 mesh, where any
+// nodes × nodes table would be a gigabyte, and holds New to a fixed
+// budget per lane; a few flows then grow the flow table only to the
+// flows seen, and each flow is found again by its (src, dst) pair.
+func TestLargeMeshMemoryFollowsTraffic(t *testing.T) {
+	const side = 128
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := MustNew(Config{Topology: topology.MustMesh(side, side), Mode: Adaptive})
+	runtime.ReadMemStats(&after)
+	const perLane = 512
+	if got, lanes := after.TotalAlloc-before.TotalAlloc, uint64(len(n.lane)); got > perLane*lanes {
+		t.Fatalf("New allocated %d bytes for %d lanes (%d per lane), want <= %d per lane", got, lanes, got/lanes, perLane)
+	}
+	pairs := [][2]int{{0, side*side - 1}, {side*side - 1, 0}, {side + 1, 5 * side}, {7, 7 * side}, {0, 1}}
+	for i, pr := range pairs {
+		if err := n.Inject(network.Packet{Src: pr[0], Dst: pr[1], Data: []network.Word{network.Word(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !n.TickUntilQuiet(100_000) {
+		t.Fatal("did not drain")
+	}
+	if len(n.flowSeq) != len(pairs) || len(n.flows.slot) > 16 {
+		t.Fatalf("%d flows in a %d-slot table, want %d flows in at most 16 slots", len(n.flowSeq), len(n.flows.slot), len(pairs))
+	}
+	for i, pr := range pairs {
+		if f := n.flows.find(n.flowSeq, pr[0], pr[1]); f != n.flowSeq[i] {
+			t.Errorf("flow %v not found", pr)
+		}
+	}
+	if f := n.flows.find(n.flowSeq, 1, 0); f != nil {
+		t.Errorf("unused pair (1, 0) found flow %v", f.key)
+	}
+}
+
+// TestFlowTableFindsEveryFlow fills the flow table through several
+// doublings, pairs in scrambled order, and checks after each insert that
+// every flow so far is found and a pair not yet inserted is not.
+func TestFlowTableFindsEveryFlow(t *testing.T) {
+	const nodes = 40
+	var tab flowTable
+	var seq []*flow
+	for i := 0; i < nodes*nodes; i++ {
+		k := (i * 797) % (nodes * nodes) // 797 is prime to 1600: a permutation
+		f := &flow{key: flowKey{k / nodes, k % nodes}, idx: int32(len(seq))}
+		if tab.find(seq, f.key.src, f.key.dst) != nil {
+			t.Fatalf("pair %v found before insert", f.key)
+		}
+		seq = append(seq, f)
+		tab.insert(seq)
+		if 2*len(seq) > len(tab.slot) {
+			t.Fatalf("%d flows in %d slots: more than half full", len(seq), len(tab.slot))
+		}
+		if i%97 == 0 || i == nodes*nodes-1 {
+			for _, g := range seq {
+				if tab.find(seq, g.key.src, g.key.dst) != g {
+					t.Fatalf("after %d inserts, flow %v not found", len(seq), g.key)
+				}
+			}
+		}
 	}
 }
 

@@ -117,12 +117,8 @@ func TestBufferedGaugeMatchesScan(t *testing.T) {
 	long := make([]network.Word, 8)
 	scanBuffered := func() int {
 		total := 0
-		for r := range n.routers {
-			for p := range n.routers[r].inputs {
-				for v := range n.routers[r].inputs[p] {
-					total += n.routers[r].inputs[p][v].len()
-				}
-			}
+		for id := range n.lane {
+			total += n.lane[id].len()
 		}
 		return total
 	}
@@ -152,10 +148,8 @@ func TestVCGaugeMatchesScan(t *testing.T) {
 	rng := diffRNG(23)
 	scanVC := func(vc int) int {
 		total := 0
-		for r := range n.routers {
-			for p := range n.routers[r].inputs {
-				total += n.routers[r].inputs[p][vc].len()
-			}
+		for id := vc; id < len(n.lane); id += cfg.VirtualChannels {
+			total += n.lane[id].len()
 		}
 		return total
 	}

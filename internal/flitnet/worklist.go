@@ -1,65 +1,73 @@
 package flitnet
 
-import "slices"
+import "math/bits"
 
-// worklist is the event-driven engine's sorted active set: int32 ids (lanes
-// or flows) kept in ascending order, which by construction is exactly the
-// order the dense per-cycle scan visited them. Additions made while a cycle
-// runs go to a side buffer and merge in at the next phase boundary, so the
-// iteration order of the current cycle is never perturbed mid-flight. A
-// mark bit per id keeps membership O(1) and duplicate-free. All backing
-// arrays are reused cycle over cycle; steady-state operation allocates
-// nothing.
+// worklist is the event-driven engine's active set of int32 ids (lanes or
+// flows), held as two bitmaps. Visiting the set bits of on in ascending
+// order is exactly the order the dense per-cycle scan visited the ids.
+// Additions made while a phase runs land in added and fold into on at the
+// next phase boundary (fold), so the current phase's visiting order is
+// never perturbed mid-flight; a phase drops an id from on at its visit
+// once the id has nothing left to do. The bitmaps are sized once per id
+// range and reused cycle over cycle, so steady-state operation allocates
+// nothing, sorts nothing and hashes nothing.
 type worklist struct {
-	sorted  []int32 // the active set, ascending; compacted in place by the phase that consumes it
-	added   []int32 // ids activated since the last merge, unsorted
-	scratch []int32 // merge target, swapped with sorted to recycle both arrays
-	mark    []bool  // mark[id]: id is present in sorted or added
+	on    []uint64 // ids the current phase visits
+	added []uint64 // ids activated since the last fold; disjoint from on
+	n     int      // ids set in on or added
+	// pending counts the ids set in added, so a fold with nothing to
+	// fold costs nothing.
+	pending int
 }
 
-// grow ensures the mark table covers ids 0..n-1.
+// grow ensures the bitmaps cover ids 0..n-1.
 func (w *worklist) grow(n int) {
-	for len(w.mark) < n {
-		w.mark = append(w.mark, false)
+	for len(w.on)*64 < n {
+		w.on = append(w.on, 0)
+		w.added = append(w.added, 0)
 	}
 }
+
+// count returns how many ids are active, in on or awaiting a fold.
+func (w *worklist) count() int { return w.n }
+
+// has reports whether id is set in on.
+func (w *worklist) has(id int32) bool { return w.on[id>>6]&(1<<(id&63)) != 0 }
 
 // add activates an id; a no-op if it is already active.
 func (w *worklist) add(id int32) {
-	if int(id) >= len(w.mark) {
-		w.grow(int(id) + 1)
-	}
-	if w.mark[id] {
+	word, mask := id>>6, uint64(1)<<(id&63)
+	if (w.on[word]|w.added[word])&mask != 0 {
 		return
 	}
-	w.mark[id] = true
-	w.added = append(w.added, id)
+	w.added[word] |= mask
+	w.n++
+	w.pending++
 }
 
-// merge folds the side buffer into the sorted set. The side buffer is
-// typically tiny (lanes touched since last cycle), so it is sorted on its
-// own and merged linearly rather than re-sorting the whole set.
-func (w *worklist) merge() {
-	if len(w.added) == 0 {
+// drop deactivates an id the current phase has just visited.
+func (w *worklist) drop(id int32) {
+	w.on[id>>6] &^= 1 << (id & 63)
+	w.n--
+}
+
+// fold moves the ids added since the last phase into on.
+func (w *worklist) fold() {
+	if w.pending == 0 {
 		return
 	}
-	slices.Sort(w.added)
-	w.scratch = w.scratch[:0]
-	i, j := 0, 0
-	for i < len(w.sorted) && j < len(w.added) {
-		if w.sorted[i] < w.added[j] {
-			w.scratch = append(w.scratch, w.sorted[i])
-			i++
-		} else {
-			w.scratch = append(w.scratch, w.added[j])
-			j++
+	for i, a := range w.added {
+		if a != 0 {
+			w.on[i] |= a
+			w.added[i] = 0
 		}
 	}
-	w.scratch = append(w.scratch, w.sorted[i:]...)
-	w.scratch = append(w.scratch, w.added[j:]...)
-	w.sorted, w.scratch = w.scratch, w.sorted
-	w.added = w.added[:0]
+	w.pending = 0
 }
+
+// bit returns the id of the lowest set bit of word, which is word i of a
+// bitmap.
+func bit(i int, word uint64) int32 { return int32(i<<6 | bits.TrailingZeros64(word)) }
 
 // wakeEntry schedules one sleeping flow's earliest possible wake cycle.
 type wakeEntry struct {

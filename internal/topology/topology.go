@@ -38,9 +38,11 @@ type Topology interface {
 	Route(router, inPort, dst int) []int
 	// RouteAppend is Route writing into a caller-provided buffer instead
 	// of allocating: candidates are appended to buf and the extended
-	// slice returned. Router hot paths call it once per head flit per
-	// cycle with a reusable scratch slice, so routing stays
-	// allocation-free.
+	// slice returned. It must be a pure function of (router, inPort,
+	// dst), and its candidates must be distinct ports, so at most
+	// Ports(router) of them: the flit engine caches each input lane's
+	// last answer in a buffer of that capacity and routes again only
+	// when the destination changes.
 	RouteAppend(router, inPort, dst int, buf []int) []int
 }
 

@@ -60,9 +60,28 @@ const (
 type segment struct {
 	buf       []network.Word
 	remaining int
-	received  map[int]bool // offsets already counted
+	received  []uint64 // bit o set: the packet at word offset o was counted
 	onPacket  func(offset, words int)
 	onDone    func()
+}
+
+// count marks the packet at a word offset received, reporting false when
+// it already was. Offsets run to len(buf) (an empty packet may sit at the
+// end), and the head word caps them below maxOffset.
+func (s *segment) count(offset int) bool {
+	w, bit := offset/64, uint64(1)<<(offset%64)
+	if s.received[w]&bit != 0 {
+		return false
+	}
+	s.received[w] |= bit
+	return true
+}
+
+// segSlot is one segment id's state: its live segment, or a tombstone once
+// it was freed.
+type segSlot struct {
+	seg   *segment
+	freed bool // freed segments; late duplicates are dropped
 }
 
 // TagSink receives every packet carrying a tag registered with RegisterTag,
@@ -71,14 +90,30 @@ type segment struct {
 // the endpoint's dispatch loop.
 type TagSink func(src int, head network.Word, data []network.Word) error
 
-// Endpoint is one node's CMAM layer instance.
+// Endpoint is one node's CMAM layer instance. A node registers a handful
+// of handlers and tags, so they sit in short lists; segments sit in a table
+// indexed by id, which ids are handed out in order to fill.
 type Endpoint struct {
-	node       *machine.Node
-	handlers   map[HandlerID]Handler
-	segments   map[SegmentID]*segment
-	tombstones map[SegmentID]bool // freed segments; late duplicates are dropped
-	sinks      map[network.Tag]TagSink
-	nextSeg    SegmentID
+	node     *machine.Node
+	handlers []handlerEntry
+	sinks    []sinkEntry
+	segs     []segSlot // indexed by SegmentID, as far as ids were handed out
+	nextSeg  SegmentID
+
+	// The lists start in these arrays: a protocol registers at most three
+	// handlers and two tags on a node.
+	handlerRoom [4]handlerEntry
+	sinkRoom    [2]sinkEntry
+}
+
+type handlerEntry struct {
+	id HandlerID
+	h  Handler
+}
+
+type sinkEntry struct {
+	tag  network.Tag
+	sink TagSink
 }
 
 // Package errors.
@@ -90,13 +125,9 @@ var (
 
 // NewEndpoint attaches a CMAM layer to a node.
 func NewEndpoint(node *machine.Node) *Endpoint {
-	return &Endpoint{
-		node:       node,
-		handlers:   make(map[HandlerID]Handler),
-		segments:   make(map[SegmentID]*segment),
-		tombstones: make(map[SegmentID]bool),
-		sinks:      make(map[network.Tag]TagSink),
-	}
+	ep := &Endpoint{node: node}
+	ep.handlers, ep.sinks = ep.handlerRoom[:0], ep.sinkRoom[:0]
+	return ep
 }
 
 // Node returns the underlying machine node.
@@ -104,7 +135,41 @@ func (ep *Endpoint) Node() *machine.Node { return ep.node }
 
 // Register installs a handler; re-registering an id replaces it.
 func (ep *Endpoint) Register(id HandlerID, h Handler) {
-	ep.handlers[id] = h
+	for i := range ep.handlers {
+		if ep.handlers[i].id == id {
+			ep.handlers[i].h = h
+			return
+		}
+	}
+	ep.handlers = append(ep.handlers, handlerEntry{id, h})
+}
+
+// handler returns the handler registered for an id, nil if none.
+func (ep *Endpoint) handler(id HandlerID) Handler {
+	for _, e := range ep.handlers {
+		if e.id == id {
+			return e.h
+		}
+	}
+	return nil
+}
+
+// sink returns the sink registered for a tag, nil if none.
+func (ep *Endpoint) sink(tag network.Tag) TagSink {
+	for _, e := range ep.sinks {
+		if e.tag == tag {
+			return e.sink
+		}
+	}
+	return nil
+}
+
+// segment returns the live segment with an id, nil if none.
+func (ep *Endpoint) segment(id SegmentID) *segment {
+	if int(id) < len(ep.segs) {
+		return ep.segs[id].seg
+	}
+	return nil
 }
 
 // RegisterTag installs a sink for a custom hardware tag. TagAM and TagXfer
@@ -113,7 +178,13 @@ func (ep *Endpoint) RegisterTag(tag network.Tag, sink TagSink) error {
 	if tag == TagAM || tag == TagXfer {
 		return fmt.Errorf("cmam: tag %d is reserved", tag)
 	}
-	ep.sinks[tag] = sink
+	for i := range ep.sinks {
+		if ep.sinks[i].tag == tag {
+			ep.sinks[i].sink = sink
+			return nil
+		}
+	}
+	ep.sinks = append(ep.sinks, sinkEntry{tag, sink})
 	return nil
 }
 
@@ -232,18 +303,22 @@ func (ep *Endpoint) AllocSegment(buf []network.Word, expectWords int, onPacket f
 	for tries := 0; tries < maxSegment; tries++ {
 		id := ep.nextSeg
 		ep.nextSeg++
-		if _, taken := ep.segments[id]; !taken {
-			delete(ep.tombstones, id) // the id's previous life is over
-			ep.segments[id] = &segment{
-				buf:       buf,
-				remaining: expectWords,
-				received:  make(map[int]bool),
-				onPacket:  onPacket,
-				onDone:    onDone,
-			}
-			ep.node.Obs.SegmentAlloc()
-			return id, nil
+		if ep.segment(id) != nil {
+			continue
 		}
+		if int(id) == len(ep.segs) {
+			ep.segs = append(ep.segs, segSlot{})
+		}
+		// The id's previous life, if any, is over.
+		ep.segs[id] = segSlot{seg: &segment{
+			buf:       buf,
+			remaining: expectWords,
+			received:  make([]uint64, min(len(buf), maxOffset-1)/64+1),
+			onPacket:  onPacket,
+			onDone:    onDone,
+		}}
+		ep.node.Obs.SegmentAlloc()
+		return id, nil
 	}
 	return 0, errors.New("cmam: no free segment ids")
 }
@@ -253,19 +328,18 @@ func (ep *Endpoint) AllocSegment(buf []network.Word, expectWords int, onPacket f
 // are silently discarded rather than treated as protocol errors. (Ids
 // recycle after the 16-bit space wraps, the usual sequence-reuse caveat.)
 func (ep *Endpoint) FreeSegment(id SegmentID) error {
-	if _, ok := ep.segments[id]; !ok {
+	if ep.segment(id) == nil {
 		return fmt.Errorf("%w: %d", ErrNoSegment, id)
 	}
-	delete(ep.segments, id)
-	ep.tombstones[id] = true
+	ep.segs[id] = segSlot{freed: true}
 	ep.node.Obs.SegmentFree()
 	return nil
 }
 
 // SegmentRemaining reports the words a segment still expects.
 func (ep *Endpoint) SegmentRemaining(id SegmentID) (int, error) {
-	s, ok := ep.segments[id]
-	if !ok {
+	s := ep.segment(id)
+	if s == nil {
 		return 0, fmt.Errorf("%w: %d", ErrNoSegment, id)
 	}
 	return s.remaining, nil
@@ -337,8 +411,8 @@ func (ep *Endpoint) dispatchPacket(nic *ni.NI) error {
 	src, tag, head := nic.ReadMeta()
 	switch tag {
 	case TagAM:
-		h, ok := ep.handlers[HandlerID(head)]
-		if !ok {
+		h := ep.handler(HandlerID(head))
+		if h == nil {
 			nic.Discard()
 			return fmt.Errorf("%w: id %d from node %d", ErrNoHandler, head, src)
 		}
@@ -347,9 +421,9 @@ func (ep *Endpoint) dispatchPacket(nic *ni.NI) error {
 	case TagXfer:
 		seg := SegmentID(head >> 16)
 		offset := int(head & (maxOffset - 1))
-		s, ok := ep.segments[seg]
-		if !ok {
-			if ep.tombstones[seg] {
+		s := ep.segment(seg)
+		if s == nil {
+			if int(seg) < len(ep.segs) && ep.segs[seg].freed {
 				// A retransmission landing after completion.
 				nic.Discard()
 				ep.node.Event("cmam.stale.xfer")
@@ -364,8 +438,7 @@ func (ep *Endpoint) dispatchPacket(nic *ni.NI) error {
 				ErrSegmentOverrun, offset, len(data), len(s.buf), seg)
 		}
 		copy(s.buf[offset:], data)
-		if !s.received[offset] {
-			s.received[offset] = true
+		if s.count(offset) {
 			s.remaining -= len(data)
 		}
 		if s.onPacket != nil {
@@ -377,8 +450,8 @@ func (ep *Endpoint) dispatchPacket(nic *ni.NI) error {
 			done()
 		}
 	default:
-		sink, ok := ep.sinks[tag]
-		if !ok {
+		sink := ep.sink(tag)
+		if sink == nil {
 			nic.Discard()
 			return fmt.Errorf("cmam: packet with unknown tag %d from node %d", tag, src)
 		}

@@ -399,3 +399,59 @@ func TestDualNetworkPollDrainsBothNIs(t *testing.T) {
 		t.Fatalf("seen = %v", seen)
 	}
 }
+
+// Arrivals are counted once per offset up to the last offset the 16-bit
+// head field carries: a duplicate there overwrites its words without
+// counting them again.
+func TestSegmentDuplicateOffsetAtFieldLimit(t *testing.T) {
+	src, dst, _ := pair(t, network.CM5Config{})
+	const last = maxOffset - 1
+	buf := make([]network.Word, maxOffset)
+	var packets, doneCalls int
+	seg, err := dst.AllocSegment(buf, 2, func(off, words int) { packets++ }, func() { doneCalls++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []network.Word{7, 8} {
+		if err := src.SendXfer(1, seg, last, []network.Word{w}, cost.Base, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dst.Poll(0); err != nil {
+		t.Fatal(err)
+	}
+	if rem, _ := dst.SegmentRemaining(seg); rem != 1 || packets != 2 || doneCalls != 0 || buf[last] != 8 {
+		t.Fatalf("after a duplicate at offset %d: remaining %d, packets %d, done %d, word %d",
+			last, rem, packets, doneCalls, buf[last])
+	}
+	if err := src.SendXfer(1, seg, 0, []network.Word{1}, cost.Base, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Poll(0); err != nil {
+		t.Fatal(err)
+	}
+	if rem, _ := dst.SegmentRemaining(seg); rem != 0 || doneCalls != 1 {
+		t.Errorf("after offset 0: remaining %d, done %d", rem, doneCalls)
+	}
+	if err := src.SendXfer(1, seg, maxOffset, []network.Word{1}, cost.Base, nil); err == nil {
+		t.Error("an offset past the 16-bit field was sent")
+	}
+
+	// An empty packet may sit just past the last word, here of a buffer
+	// whose length is a multiple of the bitset's word.
+	seg, err = dst.AllocSegment(make([]network.Word, 64), 64, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := src.SendXfer(1, seg, 64, nil, cost.Base, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dst.Poll(0); err != nil {
+		t.Fatal(err)
+	}
+	if rem, _ := dst.SegmentRemaining(seg); rem != 64 {
+		t.Errorf("empty packets at the end changed remaining to %d", rem)
+	}
+}

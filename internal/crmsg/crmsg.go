@@ -20,6 +20,7 @@ package crmsg
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"msglayer/internal/cmam"
 	"msglayer/internal/cost"
@@ -69,18 +70,17 @@ type Finite struct {
 	ep  *cmam.Endpoint
 	cfg FiniteConfig
 
-	nextID   uint16
-	outgoing map[uint16]*Transfer
-	incoming map[inKey]*inXfer
+	nextID uint16
+	// A node has a few transfers open at a time, so they sit in lists:
+	// outgoing in start order, incoming in header-arrival order.
+	outgoing []*Transfer
+	incoming []*inXfer
 	err      error
 }
 
-type inKey struct {
-	src int
-	id  uint16
-}
-
 type inXfer struct {
+	src    int
+	id     uint16
 	buf    []network.Word
 	cursor int
 }
@@ -106,12 +106,7 @@ func NewFinite(ep *cmam.Endpoint, sub network.Network, cfg FiniteConfig) (*Finit
 	if cfg.Allocate == nil {
 		cfg.Allocate = func(words int) []network.Word { return make([]network.Word, words) }
 	}
-	f := &Finite{
-		ep:       ep,
-		cfg:      cfg,
-		outgoing: make(map[uint16]*Transfer),
-		incoming: make(map[inKey]*inXfer),
-	}
+	f := &Finite{ep: ep, cfg: cfg}
 	if err := ep.RegisterTag(TagHead, f.sinkHead); err != nil {
 		return nil, err
 	}
@@ -152,7 +147,7 @@ func (f *Finite) Start(dst int, data []network.Word) (*Transfer, error) {
 	}
 	t := &Transfer{f: f, id: f.nextID, dst: dst, data: data}
 	f.nextID++
-	f.outgoing[t.id] = t
+	f.outgoing = append(f.outgoing, t)
 	// One transfer is one causal message, from the header injection through
 	// the last packet.
 	obsScope := f.ep.Node().Obs
@@ -162,6 +157,7 @@ func (f *Finite) Start(dst int, data []network.Word) (*Transfer, error) {
 	f.ep.Node().Event("crfinite.start")
 	err := f.pumpOne(t)
 	obsScope.SwapMsg(prevMsg)
+	f.retire()
 	return t, err
 }
 
@@ -182,6 +178,9 @@ func (f *Finite) Pump() error {
 		f.err = nil
 		return err
 	}
+	// Transfers that finish are dropped after the pass, so the loop sees
+	// the list it started with.
+	defer f.retire()
 	for _, t := range f.outgoing {
 		prev := f.ep.Node().Obs.SwapMsg(t.msg)
 		err := f.pumpOne(t)
@@ -191,6 +190,11 @@ func (f *Finite) Pump() error {
 		}
 	}
 	return nil
+}
+
+// retire drops the transfers whose every packet is injected.
+func (f *Finite) retire() {
+	f.outgoing = slices.DeleteFunc(f.outgoing, (*Transfer).Done)
 }
 
 // Step adapts a transfer to machine.Stepper semantics.
@@ -238,7 +242,6 @@ func (f *Finite) pumpOne(t *Transfer) error {
 		t.sent = end
 	}
 	if t.sent >= len(t.data) {
-		delete(f.outgoing, t.id)
 		// Source-side completion marker: on this substrate injection is
 		// delivery, so the last packet entering the network completes the
 		// transfer as seen from the source. The event charges nothing; it
@@ -256,8 +259,7 @@ func (f *Finite) sinkHead(src int, head network.Word, data []network.Word) error
 	if words <= 0 {
 		return fmt.Errorf("crmsg: header from node %d with size %d", src, words)
 	}
-	key := inKey{src, id}
-	if _, dup := f.incoming[key]; dup {
+	if f.open(src, id) != nil {
 		return fmt.Errorf("crmsg: duplicate header for transfer %d from node %d", id, src)
 	}
 
@@ -266,32 +268,41 @@ func (f *Finite) sinkHead(src int, head network.Word, data []network.Word) error
 	// itself is excluded, as in the paper.
 	node.Charge(cost.Base, f.sched().CRXferRecvFixed)
 	node.Charge(cost.BufferMgmt, f.sched().CRBufferRegister)
-	in := &inXfer{buf: f.cfg.Allocate(words)}
-	f.incoming[key] = in
+	in := &inXfer{src: src, id: id, buf: f.cfg.Allocate(words)}
+	f.incoming = append(f.incoming, in)
 	node.Event("crfinite.header.recv")
 
-	return f.store(src, key, in, data)
+	return f.store(src, in, data)
+}
+
+// open returns the incoming transfer id from src, nil if none is open.
+func (f *Finite) open(src int, id uint16) *inXfer {
+	for _, in := range f.incoming {
+		if in.src == src && in.id == id {
+			return in
+		}
+	}
+	return nil
 }
 
 // sinkData receives subsequent packets in order.
 func (f *Finite) sinkData(src int, head network.Word, data []network.Word) error {
-	key := inKey{src, uint16(head)}
-	in, ok := f.incoming[key]
-	if !ok {
+	in := f.open(src, uint16(head))
+	if in == nil {
 		return fmt.Errorf("crmsg: data for unknown transfer %d from node %d", head, src)
 	}
-	return f.store(src, key, in, data)
+	return f.store(src, in, data)
 }
 
 // store places a packet's payload at the cursor — in-order delivery makes
 // offsets unnecessary — and finishes the transfer on the last packet.
-func (f *Finite) store(src int, key inKey, in *inXfer, data []network.Word) error {
+func (f *Finite) store(src int, in *inXfer, data []network.Word) error {
 	node := f.ep.Node()
 	node.Charge(cost.Base, f.sched().CRXferRecvPacket)
 	node.Event("crfinite.packet.recv")
 	if in.cursor+len(data) > len(in.buf) {
 		return fmt.Errorf("crmsg: transfer %d from node %d overruns its %d-word buffer",
-			key.id, src, len(in.buf))
+			in.id, src, len(in.buf))
 	}
 	copy(in.buf[in.cursor:], data)
 	in.cursor += len(data)
@@ -299,7 +310,7 @@ func (f *Finite) store(src int, key inKey, in *inXfer, data []network.Word) erro
 		// The arrival of the last packet invokes the specialized
 		// last-packet handler.
 		node.Charge(cost.Base, f.sched().CRLastPacket)
-		delete(f.incoming, key)
+		f.incoming = slices.DeleteFunc(f.incoming, func(o *inXfer) bool { return o == in })
 		node.Event("crfinite.done")
 		if f.cfg.OnReceive != nil {
 			f.cfg.OnReceive(src, in.buf)

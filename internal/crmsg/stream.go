@@ -3,6 +3,7 @@ package crmsg
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"msglayer/internal/cmam"
 	"msglayer/internal/cost"
@@ -25,8 +26,10 @@ type Stream struct {
 	ep  *cmam.Endpoint
 	cfg StreamConfig
 
-	out  map[connKey]*Conn
-	seen map[connKey]bool // receiver channels whose fixed cost is charged
+	// A node keeps a few channels, so they sit in lists: out in Open
+	// order, seen in first-arrival order.
+	out  []*Conn
+	seen []connKey // receiver channels whose fixed cost is charged
 }
 
 type connKey struct {
@@ -40,6 +43,7 @@ type Conn struct {
 	dst    int
 	ch     uint8
 	sendq  [][]network.Word // packets awaiting injection after backpressure
+	slab   network.Slab     // storage of the sendq copies, which the Conn owns
 	sent   uint64
 	closed bool
 
@@ -50,12 +54,7 @@ type Conn struct {
 
 // NewStream installs the CR stream protocol on an endpoint.
 func NewStream(ep *cmam.Endpoint, cfg StreamConfig) (*Stream, error) {
-	s := &Stream{
-		ep:   ep,
-		cfg:  cfg,
-		out:  make(map[connKey]*Conn),
-		seen: make(map[connKey]bool),
-	}
+	s := &Stream{ep: ep, cfg: cfg}
 	if err := ep.RegisterTag(TagStream, s.sink); err != nil {
 		return nil, err
 	}
@@ -75,12 +74,13 @@ func (s *Stream) sched() *cost.Schedule { return s.ep.Node().Sched }
 
 // Open returns the source side of channel ch toward dst.
 func (s *Stream) Open(dst int, ch uint8) *Conn {
-	key := connKey{dst, ch}
-	if c, ok := s.out[key]; ok {
-		return c
+	for _, c := range s.out {
+		if c.dst == dst && c.ch == ch {
+			return c
+		}
 	}
 	c := &Conn{s: s, dst: dst, ch: ch}
-	s.out[key] = c
+	s.out = append(s.out, c)
 	return c
 }
 
@@ -104,17 +104,13 @@ func (c *Conn) Send(data ...network.Word) error {
 	node.Charge(cost.Base, c.s.sched().CRStreamSend)
 	if len(c.sendq) > 0 {
 		// Preserve injection order behind backpressured packets.
-		buf := make([]network.Word, len(data))
-		copy(buf, data)
-		c.enqueue(buf, msg)
+		c.enqueue(c.slab.Clone(data), msg)
 		return nil
 	}
 	err := c.inject(data)
 	if errors.Is(err, network.ErrBackpressure) {
 		node.Charge(cost.Base, retryProbe)
-		buf := make([]network.Word, len(data))
-		copy(buf, data)
-		c.enqueue(buf, msg)
+		c.enqueue(c.slab.Clone(data), msg)
 		return nil
 	}
 	return err
@@ -207,9 +203,8 @@ func (s *Stream) Step() (bool, error) {
 func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 	node := s.ep.Node()
 	ch := uint8(head)
-	key := connKey{src, ch}
-	if !s.seen[key] {
-		s.seen[key] = true
+	if key := (connKey{src, ch}); !slices.Contains(s.seen, key) {
+		s.seen = append(s.seen, key)
 		node.Charge(cost.Base, s.sched().CRStreamRecvFixed)
 	}
 	node.Charge(cost.Base, s.sched().CRStreamRecv)

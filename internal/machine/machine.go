@@ -106,18 +106,16 @@ func New(net network.Network, sched *cost.Schedule) (*Machine, error) {
 		return nil, fmt.Errorf("machine: schedule packet size %d != network packet size %d",
 			sched.PacketWords, net.PacketWords())
 	}
-	m := &Machine{Net: net}
-	for id := 0; id < net.Nodes(); id++ {
-		nic, err := ni.New(id, net)
-		if err != nil {
-			return nil, err
-		}
-		m.Nodes = append(m.Nodes, &Node{
-			ID:    id,
-			Gauge: cost.NewGauge(),
-			Sched: sched,
-			NI:    nic,
-		})
+	// The nodes, their gauges and their NIs are allocated together, a few
+	// arrays for the whole machine.
+	count := net.Nodes()
+	nodes := make([]Node, count)
+	gauges := cost.NewGauges(count)
+	nics := ni.NewSet(net)
+	m := &Machine{Net: net, Nodes: make([]*Node, count)}
+	for id := range nodes {
+		nodes[id] = Node{ID: id, Gauge: &gauges[id], Sched: sched, NI: &nics[id]}
+		m.Nodes[id] = &nodes[id]
 	}
 	return m, nil
 }
@@ -229,7 +227,7 @@ var ErrStalled = errors.New("machine: protocol stalled before completion")
 // "machine cycle" of every experiment: the interleaving depends only on
 // stepper order.
 func Run(maxRounds int, steppers ...Stepper) error {
-	done := make([]bool, len(steppers))
+	done := doneFlags(len(steppers))
 	for round := 0; round < maxRounds; round++ {
 		allDone := true
 		for i, s := range steppers {
@@ -250,6 +248,15 @@ func Run(maxRounds int, steppers ...Stepper) error {
 		}
 	}
 	return ErrStalled
+}
+
+// doneFlags returns n cleared completion flags. Up to four fit in a
+// fixed array, which the inliner keeps on the caller's stack.
+func doneFlags(n int) []bool {
+	if n <= 4 {
+		return make([]bool, n, 4)
+	}
+	return make([]bool, n)
 }
 
 // StepFunc adapts a function to the Stepper interface.
@@ -273,7 +280,7 @@ func (m *Machine) Run(maxRounds int, steppers ...Stepper) error {
 	stalls := h.Metrics.Counter(obs.Key{Name: "run_stalls_total", Node: -1})
 	prober, _ := m.Net.(obs.DepthProber)
 
-	done := make([]bool, len(steppers))
+	done := doneFlags(len(steppers))
 	for round := 0; round < maxRounds; round++ {
 		allDone := true
 		for i, s := range steppers {

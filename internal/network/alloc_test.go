@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // allocsPerPacket reports the average heap allocations per packet of
@@ -69,8 +70,8 @@ func TestQueueStorageStaysBounded(t *testing.T) {
 		net  Network
 		q    *fifo
 	}{
-		{"cm5", cm5, &cm5.queues[1]},
-		{"cr", cr, &cr.queues[1]},
+		{"cm5", cm5, &cm5.dsts[1].queue},
+		{"cr", cr, &cr.dsts[1].queue},
 	} {
 		maxCap := 0
 		for i := 0; i < packets; i++ {
@@ -84,7 +85,7 @@ func TestQueueStorageStaysBounded(t *testing.T) {
 			if !ok || p.Head != Word(i-backlog) {
 				t.Fatalf("%s: packet %d: got head %d (ok=%v)", c.name, i-backlog, p.Head, ok)
 			}
-			maxCap = max(maxCap, cap(c.q.buf))
+			maxCap = max(maxCap, c.q.storage())
 		}
 		if maxCap > 4*backlog {
 			t.Errorf("%s: queue capacity reached %d for a backlog of %d", c.name, maxCap, backlog)
@@ -92,8 +93,18 @@ func TestQueueStorageStaysBounded(t *testing.T) {
 	}
 }
 
-// pop zeroes the slot it takes, and compaction the slots it vacates, so a
-// queue references no delivered payload.
+// storage is the packets the queue's chunks can hold.
+func (q *fifo) storage() int {
+	n := cap(q.spare)
+	for _, c := range q.chunks {
+		n += cap(c)
+	}
+	return n
+}
+
+// pop zeroes the slot it takes, so a queue references no delivered
+// payload: not in a chunk it is still reading, not in a drained chunk it
+// keeps for reuse.
 func TestFIFOPopClearsSlots(t *testing.T) {
 	var q fifo
 	for i := 0; i < 8; i++ {
@@ -108,27 +119,41 @@ func TestFIFOPopClearsSlots(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pop(i)
 	}
-	for i, p := range q.buf[:q.head] {
+	for i, p := range q.chunks[0][:q.head] {
 		if p.Data != nil {
 			t.Errorf("popped slot %d still holds a payload", i)
 		}
 	}
-	for i := 3; i < 5; i++ {
-		pop(i) // the head passes half the buffer: compaction
+	pop(3) // the first chunk drains and becomes the spare
+	if q.len() != 4 || len(q.chunks) != 1 || q.spare == nil {
+		t.Fatalf("after draining a chunk: len %d, %d chunks, spare %v", q.len(), len(q.chunks), q.spare != nil)
 	}
-	if q.head != 0 || q.len() != 3 {
-		t.Fatalf("after compaction: head %d, len %d", q.head, q.len())
-	}
-	for i, p := range q.buf[q.len():8] {
+	for i, p := range q.spare[:cap(q.spare)] {
 		if p.Data != nil {
-			t.Errorf("vacated slot %d still holds a payload", q.len()+i)
+			t.Errorf("spare slot %d still holds a payload", i)
 		}
 	}
-	for i := 5; i < 8; i++ {
+	for i := 4; i < 8; i++ {
 		pop(i)
 	}
-	if _, ok := q.pop(); ok || q.len() != 0 || len(q.buf) != 0 {
-		t.Errorf("drained queue: len %d, buffer %d", q.len(), len(q.buf))
+	if _, ok := q.pop(); ok || q.len() != 0 || len(q.chunks[0]) != 0 {
+		t.Errorf("drained queue: len %d, last chunk holds %d", q.len(), len(q.chunks[0]))
+	}
+	for i, p := range q.chunks[0][:cap(q.chunks[0])] {
+		if p.Data != nil {
+			t.Errorf("drained slot %d still holds a payload", i)
+		}
+	}
+}
+
+// Every hop moves a Packet by value; its small fields are packed so that
+// on a 64-bit platform it takes 80 bytes.
+func TestPacketSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes differ off 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Packet{}); got > 80 {
+		t.Errorf("Packet takes %d bytes, want at most 80", got)
 	}
 }
 

@@ -23,25 +23,32 @@ type CM5Config struct {
 	Capacity int
 }
 
-type flowKey struct{ src, dst int }
-
+// flowState is one (source, destination) flow, kept in its destination's
+// list: a destination hears from few sources, so a scan finds the flow
+// sooner than a hash and the lists hold only flows that carried traffic.
 type flowState struct {
+	src       int
 	reorderer Reorderer
 	nextSeq   uint64
 	held      int // packets inside the reorderer
+}
+
+// cm5Dest is what a CM5Net keeps per destination.
+type cm5Dest struct {
+	queue fifo        // deliverable packets
+	flows []flowState // flows toward the destination, in first-use order
 }
 
 // CM5Net is the behavioral model of the CM-5 data network: arbitrary
 // delivery order within a flow (per the configured policy), finite
 // buffering, and fault detection without correction.
 type CM5Net struct {
-	cfg    CM5Config
-	queues []fifo // deliverable packets per destination
-	flows  map[flowKey]*flowState
-	byDst  [][]*flowState // flows targeting each destination, for flushing
-	slab   payloadSlab
-	stats  Stats
-	obs    *obs.NetScope
+	cfg   CM5Config
+	dsts  []cm5Dest
+	out   []Packet // a reorderer's released packets, on their way to a queue
+	slab  Slab
+	stats Stats
+	obs   *obs.NetScope
 }
 
 // NewCM5Net constructs the network.
@@ -62,10 +69,8 @@ func NewCM5Net(cfg CM5Config) (*CM5Net, error) {
 		cfg.Faults = NoFaults{}
 	}
 	return &CM5Net{
-		cfg:    cfg,
-		queues: make([]fifo, cfg.Nodes),
-		flows:  make(map[flowKey]*flowState),
-		byDst:  make([][]*flowState, cfg.Nodes),
+		cfg:  cfg,
+		dsts: make([]cm5Dest, cfg.Nodes),
 	}, nil
 }
 
@@ -101,11 +106,24 @@ func (n *CM5Net) PacketWords() int { return n.cfg.PacketWords }
 
 // inFlight counts packets buffered toward a destination, queued or held.
 func (n *CM5Net) inFlight(dst int) int {
-	count := n.queues[dst].len()
-	for _, f := range n.byDst[dst] {
-		count += f.held
+	d := &n.dsts[dst]
+	count := d.queue.len()
+	for i := range d.flows {
+		count += d.flows[i].held
 	}
 	return count
+}
+
+// flow returns the flow from src to dst, starting it on first use.
+func (n *CM5Net) flow(src, dst int) *flowState {
+	d := &n.dsts[dst]
+	for i := range d.flows {
+		if d.flows[i].src == src {
+			return &d.flows[i]
+		}
+	}
+	d.flows = append(d.flows, flowState{src: src, reorderer: n.cfg.Reorder()})
+	return &d.flows[len(d.flows)-1]
 }
 
 // Inject implements Network.
@@ -119,16 +137,10 @@ func (n *CM5Net) Inject(p Packet) error {
 		return ErrBackpressure
 	}
 
-	key := flowKey{p.Src, p.Dst}
-	f := n.flows[key]
-	if f == nil {
-		f = &flowState{reorderer: n.cfg.Reorder()}
-		n.flows[key] = f
-		n.byDst[p.Dst] = append(n.byDst[p.Dst], f)
-	}
+	f := n.flow(p.Src, p.Dst)
 	p.flow = f.nextSeq
 	f.nextSeq++
-	p.Data = n.slab.clone(p.Data)
+	p.Data = n.slab.Clone(p.Data)
 	n.stats.Injected++
 	n.obs.Injected()
 
@@ -141,11 +153,20 @@ func (n *CM5Net) Inject(p Packet) error {
 		p.Corrupt = true
 	}
 
-	q := &n.queues[p.Dst]
-	queued := len(q.buf)
-	q.buf = f.reorderer.Push(q.buf, p)
-	f.held += 1 - (len(q.buf) - queued) // p went in, the released packets out
+	n.out = f.reorderer.Push(n.out[:0], p)
+	f.held += 1 - len(n.out) // p went in, the released packets out
+	n.enqueue(p.Dst)
 	return nil
+}
+
+// enqueue moves the packets a reorderer released onto a destination's
+// queue.
+func (n *CM5Net) enqueue(dst int) {
+	q := &n.dsts[dst].queue
+	for i := range n.out {
+		q.push(n.out[i])
+	}
+	clear(n.out)
 }
 
 // TryRecv implements Network. When a destination's queue is empty, any
@@ -155,13 +176,14 @@ func (n *CM5Net) TryRecv(node int) (Packet, bool) {
 	if node < 0 || node >= n.cfg.Nodes {
 		return Packet{}, false
 	}
-	q := &n.queues[node]
+	d := &n.dsts[node]
+	q := &d.queue
 	if q.len() == 0 {
-		for _, f := range n.byDst[node] {
-			if f.held > 0 {
-				queued := len(q.buf)
-				q.buf = f.reorderer.Flush(q.buf)
-				f.held -= len(q.buf) - queued
+		for i := range d.flows {
+			if f := &d.flows[i]; f.held > 0 {
+				n.out = f.reorderer.Flush(n.out[:0])
+				f.held -= len(n.out)
+				n.enqueue(node)
 			}
 		}
 	}
@@ -181,7 +203,7 @@ func (n *CM5Net) TryRecv(node int) (Packet, bool) {
 // Pending implements Network.
 func (n *CM5Net) Pending() int {
 	total := 0
-	for dst := range n.queues {
+	for dst := range n.dsts {
 		total += n.inFlight(dst)
 	}
 	return total

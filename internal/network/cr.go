@@ -34,17 +34,22 @@ type CRConfig struct {
 // acceptance guarantees).
 type Acceptor func(Packet) bool
 
+// crDest is what a CRNet keeps per destination.
+type crDest struct {
+	queue    fifo
+	acceptor Acceptor
+	flows    []flowCount // the next sequence number of each source
+}
+
 // CRNet is the behavioral model of a Compressionless-Routing substrate:
 // order-preserving, reliable at the packet level, with header rejection in
 // place of software buffer preallocation.
 type CRNet struct {
-	cfg       CRConfig
-	queues    []fifo
-	acceptors []Acceptor
-	flowSeq   map[flowKey]uint64
-	slab      payloadSlab
-	stats     Stats
-	obs       *obs.NetScope
+	cfg   CRConfig
+	dsts  []crDest
+	slab  Slab
+	stats Stats
+	obs   *obs.NetScope
 }
 
 // NewCRNet constructs the network.
@@ -59,10 +64,8 @@ func NewCRNet(cfg CRConfig) (*CRNet, error) {
 		return nil, fmt.Errorf("network: packet payload must be positive, got %d", cfg.PacketWords)
 	}
 	return &CRNet{
-		cfg:       cfg,
-		queues:    make([]fifo, cfg.Nodes),
-		acceptors: make([]Acceptor, cfg.Nodes),
-		flowSeq:   make(map[flowKey]uint64),
+		cfg:  cfg,
+		dsts: make([]crDest, cfg.Nodes),
 	}, nil
 }
 
@@ -81,7 +84,7 @@ func (n *CRNet) SetAcceptor(node int, a Acceptor) error {
 	if node < 0 || node >= n.cfg.Nodes {
 		return fmt.Errorf("network: no node %d", node)
 	}
-	n.acceptors[node] = a
+	n.dsts[node].acceptor = a
 	return nil
 }
 
@@ -96,7 +99,7 @@ func (n *CRNet) QueueDepth(node int) int {
 	if node < 0 || node >= n.cfg.Nodes {
 		return 0
 	}
-	return n.queues[node].len()
+	return n.dsts[node].queue.len()
 }
 
 // Nodes implements Network.
@@ -114,12 +117,13 @@ func (n *CRNet) Inject(p Packet) error {
 	if err := validate(p, n.cfg.Nodes, n.cfg.PacketWords); err != nil {
 		return err
 	}
-	if a := n.acceptors[p.Dst]; a != nil && !a(p) {
+	d := &n.dsts[p.Dst]
+	if a := d.acceptor; a != nil && !a(p) {
 		n.stats.Rejected++
 		n.obs.Rejected(p.Dst)
 		return ErrRejected
 	}
-	if n.cfg.Capacity > 0 && n.queues[p.Dst].len() >= n.cfg.Capacity {
+	if n.cfg.Capacity > 0 && d.queue.len() >= n.cfg.Capacity {
 		n.stats.Backpressure++
 		n.obs.Backpressure(p.Dst)
 		return ErrBackpressure
@@ -135,14 +139,33 @@ func (n *CRNet) Inject(p Packet) error {
 		n.obs.HWRetries(n.stats.HWRetries - before)
 	}
 
-	key := flowKey{p.Src, p.Dst}
-	p.flow = n.flowSeq[key]
-	n.flowSeq[key]++
-	p.Data = n.slab.clone(p.Data)
+	p.flow = n.nextSeq(p.Src, p.Dst)
+	p.Data = n.slab.Clone(p.Data)
 	n.stats.Injected++
 	n.obs.Injected()
-	n.queues[p.Dst].push(p)
+	d.queue.push(p)
 	return nil
+}
+
+// flowCount is one source's injection count toward a destination.
+type flowCount struct {
+	src  int
+	next uint64
+}
+
+// nextSeq returns the flow sequence number of src's next packet to dst
+// and counts it. A destination hears from few sources, so its list is
+// scanned.
+func (n *CRNet) nextSeq(src, dst int) uint64 {
+	d := &n.dsts[dst]
+	for i := range d.flows {
+		if d.flows[i].src == src {
+			d.flows[i].next++
+			return d.flows[i].next - 1
+		}
+	}
+	d.flows = append(d.flows, flowCount{src: src, next: 1})
+	return 0
 }
 
 // TryRecv implements Network.
@@ -150,7 +173,7 @@ func (n *CRNet) TryRecv(node int) (Packet, bool) {
 	if node < 0 || node >= n.cfg.Nodes {
 		return Packet{}, false
 	}
-	p, ok := n.queues[node].pop()
+	p, ok := n.dsts[node].queue.pop()
 	if !ok {
 		return Packet{}, false
 	}
@@ -162,8 +185,8 @@ func (n *CRNet) TryRecv(node int) (Packet, bool) {
 // Pending implements Network.
 func (n *CRNet) Pending() int {
 	total := 0
-	for i := range n.queues {
-		total += n.queues[i].len()
+	for i := range n.dsts {
+		total += n.dsts[i].queue.len()
 	}
 	return total
 }

@@ -40,6 +40,7 @@ func TestCRValidatesPackets(t *testing.T) {
 func TestCRPreservesOrderProperty(t *testing.T) {
 	prop := func(plan []uint8) bool {
 		const nodes = 4
+		type flowKey struct{ src, dst int }
 		n := MustCRNet(CRConfig{Nodes: nodes})
 		next := map[flowKey]Word{}
 		for _, b := range plan {

@@ -49,10 +49,12 @@ func (e *EveryNth) Judge(Packet) Outcome {
 }
 
 // SeededRate corrupts/drops packets at a fixed probability using a seeded
-// generator, splitting faults evenly between corruption and loss.
+// generator, splitting faults evenly between corruption and loss. Its
+// stream is math/rand's for the same seed.
 type SeededRate struct {
 	rate float64
 	rng  *rand.Rand
+	src  seededSource
 }
 
 // NewSeededRate returns a plan faulting packets with the given probability.
@@ -63,7 +65,10 @@ func NewSeededRate(rate float64, seed int64) *SeededRate {
 	if rate > 1 {
 		rate = 1
 	}
-	return &SeededRate{rate: rate, rng: rand.New(rand.NewSource(seed))}
+	s := &SeededRate{rate: rate}
+	s.src.Seed(seed)
+	s.rng = rand.New(&s.src)
+	return s
 }
 
 // Judge implements FaultPlan.

@@ -20,6 +20,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Word is a 32-bit network word, the CM-5's transfer unit.
@@ -30,16 +31,17 @@ type Word uint32
 type Tag uint8
 
 // Packet is one hardware packet: on the CM-5, five words — here one
-// metadata head word plus up to PacketWords data words.
+// metadata head word plus up to PacketWords data words. The networks move
+// packets by value, so the small fields are packed together: 80 bytes.
 type Packet struct {
 	Src, Dst int
+	Head     Word // protocol metadata: handler id, segment/offset, sequence
 	Tag      Tag
-	Head     Word   // protocol metadata: handler id, segment/offset, sequence
-	Data     []Word // payload, at most the network's packet payload size
 	// Corrupt marks a packet whose CRC check fails at the receiver. The
 	// receiving NI detects and discards such packets; nothing in software
 	// ever observes the payload.
 	Corrupt bool
+	Data    []Word // payload, at most the network's packet payload size
 
 	// Msg, Span, and Pkt are observability identities stamped by the
 	// sending messaging layer (see internal/obs): the causal message the
@@ -82,7 +84,8 @@ type Network interface {
 	// payload: the caller may reuse p.Data once it returns.
 	Inject(p Packet) error
 	// TryRecv pops the next deliverable packet for a node, reporting
-	// false when nothing is deliverable.
+	// false when nothing is deliverable. The packet's Data belongs to the
+	// receiver: the network keeps no reference and never writes it again.
 	TryRecv(node int) (Packet, bool)
 	// Pending returns the number of packets somewhere in the network.
 	Pending() int
@@ -117,59 +120,93 @@ func validate(p Packet, nodes, packetWords int) error {
 	return nil
 }
 
-// fifo is a head-indexed packet queue that reuses its storage: it resets
-// when it empties and compacts when the head passes half of the buffer, so
+// A delivery queue's chunks hold as many packets as the queue does when
+// the chunk is taken, from minChunkPackets up to maxChunkPackets.
+const (
+	minChunkPackets = 4
+	maxChunkPackets = 64
+)
+
+// fifo is a packet queue stored in chunks, the way payload slabs store
+// words: a growing queue takes a new chunk instead of regrowing and
+// copying one buffer, and keeps the larger chunk it drained for reuse, so
 // it holds O(max backlog) packets however many pass through it.
 type fifo struct {
-	buf  []Packet
-	head int
+	chunks [][]Packet // in queue order, each filled to its length
+	head   int        // the next packet to pop, in chunks[0]
+	n      int        // packets queued
+	spare  []Packet   // an empty drained chunk
 }
 
-func (q *fifo) len() int { return len(q.buf) - q.head }
+func (q *fifo) len() int { return q.n }
 
-func (q *fifo) push(p Packet) { q.buf = append(q.buf, p) }
+func (q *fifo) push(p Packet) {
+	last := len(q.chunks) - 1
+	if last < 0 || len(q.chunks[last]) == cap(q.chunks[last]) {
+		q.chunks = append(q.chunks, q.chunk())
+		last++
+	}
+	q.chunks[last] = append(q.chunks[last], p)
+	q.n++
+}
+
+// chunk returns an empty chunk: the spare, or a new one.
+func (q *fifo) chunk() []Packet {
+	if c := q.spare; c != nil {
+		q.spare = nil
+		return c
+	}
+	return make([]Packet, 0, min(max(q.n, minChunkPackets), maxChunkPackets))
+}
 
 // pop removes the packet at the head, zeroing its slot so the queue keeps
 // no reference to the delivered payload.
 func (q *fifo) pop() (Packet, bool) {
-	if q.head == len(q.buf) {
+	if q.n == 0 {
 		return Packet{}, false
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = Packet{}
+	c := q.chunks[0]
+	p := c[q.head]
+	c[q.head] = Packet{}
 	q.head++
-	switch {
-	case q.head == len(q.buf):
-		q.buf, q.head = q.buf[:0], 0
-	case q.head > len(q.buf)/2:
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
+	q.n--
+	if q.head == len(c) {
+		q.head = 0
+		if len(q.chunks) == 1 {
+			q.chunks[0] = c[:0] // refill the only chunk from its start
+		} else {
+			if cap(c) > cap(q.spare) {
+				q.spare = c[:0]
+			}
+			q.chunks = slices.Delete(q.chunks, 0, 1)
+		}
 	}
 	return p, true
 }
 
-// Payload slabs start at minSlabWords and double up to maxSlabWords, so a
-// network that carries a few packets allocates little and a busy one
-// allocates once per maxSlabWords payload words.
+// Slabs start at minSlabWords and double up to maxSlabWords, so a holder
+// that copies a few packets allocates little and a busy one allocates once
+// per maxSlabWords payload words.
 const (
 	minSlabWords = 16
 	maxSlabWords = 256
 )
 
-// payloadSlab hands out payload copies carved from word slabs instead of
-// allocating one per packet. Slab words are never reused: a delivered
-// packet's Data belongs to the receiver, which may keep or modify it.
-type payloadSlab struct {
+// Slab hands out payload copies carved from word slabs instead of
+// allocating one per packet. Slab words are never handed out twice: a
+// copy belongs to whoever took it, who may keep or modify it. The networks
+// copy injected payloads with one (a delivered packet's Data belongs to
+// the receiver), and the stream protocols their retransmission and
+// backpressure copies. The zero value is ready to use.
+type Slab struct {
 	free []Word
 	size int // words in the current slab
 }
 
-// clone copies data so callers can reuse their scratch buffers after
-// Inject returns. The copy's capacity is clipped to its length, so an
-// append by the receiver reallocates instead of overwriting the next
-// packet's payload.
-func (s *payloadSlab) clone(data []Word) []Word {
+// Clone copies data so callers can reuse their buffers once it returns.
+// The copy's capacity is clipped to its length, so an append by its owner
+// reallocates instead of overwriting the next copy.
+func (s *Slab) Clone(data []Word) []Word {
 	if len(data) == 0 {
 		return nil
 	}

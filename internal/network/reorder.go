@@ -61,13 +61,13 @@ func (s *pairSwap) Flush(out []Packet) []Packet {
 // WindowShuffle holds up to window packets per flow and releases them in a
 // seeded pseudo-random order, modeling adaptive routing whose path spread is
 // bounded by the network diameter. The same seed always produces the same
-// delivery order.
+// delivery order: the order a math/rand generator seeded with it shuffles.
 func WindowShuffle(window int, seed int64) ReorderPolicy {
 	if window < 1 {
 		window = 1
 	}
 	return func() Reorderer {
-		return &windowShuffle{window: window, seed: seed}
+		return &windowShuffle{window: window, seed: seed, held: make([]Packet, 0, window)}
 	}
 }
 
@@ -95,7 +95,7 @@ func (s *windowShuffle) Flush(out []Packet) []Packet { return s.release(out) }
 func (s *windowShuffle) release(out []Packet) []Packet {
 	if len(s.held) > 1 {
 		if s.rng == nil {
-			s.rng = rand.New(rand.NewSource(s.seed))
+			s.rng = newSeededRand(s.seed)
 		}
 		held := s.held
 		s.rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })

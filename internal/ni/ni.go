@@ -62,6 +62,19 @@ func New(node int, net network.Network) (*NI, error) {
 	return &NI{node: node, net: net, sendDst: -1}, nil
 }
 
+// NewSet attaches one network interface to every node of net, node id
+// order, in one allocation; their send staging buffers, one packet payload
+// each, share a second.
+func NewSet(net network.Network) []NI {
+	nodes, pw := net.Nodes(), net.PacketWords()
+	set := make([]NI, nodes)
+	stage := make([]network.Word, nodes*pw)
+	for id := range set {
+		set[id] = NI{node: id, net: net, sendDst: -1, sendData: stage[id*pw : id*pw : (id+1)*pw]}
+	}
+	return set
+}
+
 // MustNew is New that panics on bad arguments.
 func MustNew(node int, net network.Network) *NI {
 	n, err := New(node, net)

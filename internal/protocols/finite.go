@@ -3,6 +3,7 @@ package protocols
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"msglayer/internal/cmam"
 	"msglayer/internal/cost"
@@ -45,21 +46,51 @@ type Finite struct {
 	RetransmitAfter int
 
 	nextID   FiniteID
-	outgoing map[FiniteID]*FiniteTransfer
-	incoming map[finKey]*finIncoming
+	outgoing []*FiniteTransfer // unacknowledged transfers, in start order
+	// incoming[src][id] is the receiver's dedup record of transfer id from
+	// src. A source numbers its transfers in order, so each row grows with
+	// the transfers that source started.
+	incoming [][]finIncoming
 	err      error // first deferred handler-side error
-}
-
-// finKey identifies an incoming transfer at the receiver.
-type finKey struct {
-	src int
-	id  FiniteID
 }
 
 // finIncoming is the receiver's dedup record for one transfer.
 type finIncoming struct {
-	seg  cmam.SegmentID
-	done bool
+	seg   cmam.SegmentID
+	known bool
+	done  bool
+}
+
+// record returns the dedup record of transfer id from src, growing the
+// table to hold it.
+func (f *Finite) record(src int, id FiniteID) *finIncoming {
+	for len(f.incoming) <= src {
+		f.incoming = append(f.incoming, nil)
+	}
+	row := f.incoming[src]
+	for len(row) <= int(id) {
+		row = append(row, finIncoming{})
+	}
+	f.incoming[src] = row
+	return &row[id]
+}
+
+// transfer returns the unacknowledged outgoing transfer with an id, nil if
+// none.
+func (f *Finite) transfer(id FiniteID) *FiniteTransfer {
+	for _, t := range f.outgoing {
+		if t.id == id {
+			return t
+		}
+	}
+	return nil
+}
+
+// drop removes an acknowledged transfer from the outgoing list.
+func (f *Finite) drop(t *FiniteTransfer) {
+	if i := slices.Index(f.outgoing, t); i >= 0 {
+		f.outgoing = slices.Delete(f.outgoing, i, i+1)
+	}
 }
 
 // Transfer states.
@@ -97,8 +128,6 @@ func NewFinite(ep *cmam.Endpoint) *Finite {
 	f := &Finite{
 		ep:       ep,
 		Allocate: func(words int) []network.Word { return make([]network.Word, words) },
-		outgoing: make(map[FiniteID]*FiniteTransfer),
-		incoming: make(map[finKey]*finIncoming),
 	}
 	ep.Register(HFiniteAllocReq, f.handleAllocReq)
 	ep.Register(HFiniteAllocReply, f.handleAllocReply)
@@ -119,7 +148,7 @@ func (f *Finite) Start(dst int, data []network.Word) (*FiniteTransfer, error) {
 	}
 	t := &FiniteTransfer{f: f, id: f.nextID, dst: dst, data: data, state: finiteWaitReply}
 	f.nextID++
-	f.outgoing[t.id] = t
+	f.outgoing = append(f.outgoing, t)
 
 	// The transfer is one causal message: everything from here to the final
 	// acknowledgement attributes to this identity.
@@ -132,7 +161,7 @@ func (f *Finite) Start(dst int, data []network.Word) (*FiniteTransfer, error) {
 		network.Word(t.id), network.Word(len(data)))
 	if err != nil {
 		obsScope.SwapMsg(prevMsg)
-		delete(f.outgoing, t.id)
+		f.drop(t)
 		return nil, err
 	}
 	f.ep.Node().Event("finite.start")
@@ -309,8 +338,7 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 
 	// Deduplicate retransmitted requests: re-reply (segment still open) or
 	// re-acknowledge (transfer already completed, the ack was lost).
-	key := finKey{src, id}
-	if in, known := f.incoming[key]; known {
+	if in := f.record(src, id); in.known {
 		node.Charge(cost.FaultTol, f.sched().Retransmit)
 		if in.done {
 			if err := f.ep.SendAM(src, HFiniteAck, cost.FaultTol, f.sched().XferAckSend,
@@ -338,8 +366,7 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 	// Step 2: associate a segment with the target buffer.
 	node.Charge(cost.BufferMgmt, f.sched().SegmentAllocate)
 	node.Event("finite.segment.alloc")
-	record := &finIncoming{}
-	f.incoming[key] = record
+	f.record(src, id).known = true
 	var seg cmam.SegmentID
 	seg, allocErr := f.ep.AllocSegment(buf, words,
 		func(offset, words int) {
@@ -349,7 +376,7 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 		},
 		func() {
 			// Step 5: free the communication segment.
-			record.done = true
+			f.record(src, id).done = true
 			node.Charge(cost.BufferMgmt, f.sched().SegmentDeallocate)
 			node.Event("finite.segment.free")
 			if err := f.ep.FreeSegment(seg); err != nil {
@@ -371,7 +398,7 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 		f.err = allocErr
 		return
 	}
-	record.seg = seg
+	f.record(src, id).seg = seg
 
 	// Step 3: reply with the segment id.
 	if err := f.ep.SendAM(src, HFiniteAllocReply, cost.BufferMgmt, f.sched().AllocReplySend,
@@ -391,8 +418,8 @@ func (f *Finite) handleAllocReply(src int, args []network.Word) {
 		f.err = fmt.Errorf("protocols: malformed alloc reply from node %d: %v", src, args)
 		return
 	}
-	t, ok := f.outgoing[FiniteID(args[0])]
-	if !ok || t.state != finiteWaitReply {
+	t := f.transfer(FiniteID(args[0]))
+	if t == nil || t.state != finiteWaitReply {
 		// A duplicate reply from the retransmission path; harmless.
 		node.Event("finite.stale.reply")
 		return
@@ -411,14 +438,14 @@ func (f *Finite) handleAck(src int, args []network.Word) {
 		f.err = fmt.Errorf("protocols: malformed ack from node %d: %v", src, args)
 		return
 	}
-	t, ok := f.outgoing[FiniteID(args[0])]
-	if !ok || t.state != finiteWaitAck {
+	t := f.transfer(FiniteID(args[0]))
+	if t == nil || t.state != finiteWaitAck {
 		// A duplicate acknowledgement from the retransmission path.
 		node.Event("finite.stale.ack")
 		return
 	}
 	t.state = finiteDone
 	t.data = nil // the retained copy may now be released
-	delete(f.outgoing, t.id)
+	f.drop(t)
 	node.Event("finite.ack.recv")
 }

@@ -59,14 +59,11 @@ type Stream struct {
 	ep  *cmam.Endpoint
 	cfg StreamConfig
 
-	out map[connKey]*Conn
-	in  map[connKey]*inConn
+	// A node keeps a few channels, so they sit in lists (in Open and
+	// first-arrival order) rather than maps.
+	out []*Conn
+	in  []*inConn
 	err error
-}
-
-type connKey struct {
-	peer int
-	ch   uint8
 }
 
 // Conn is the source side of one ordered channel.
@@ -75,32 +72,22 @@ type Conn struct {
 	dst int
 	ch  uint8
 
-	nextSeq  uint32
-	unacked  map[uint32][]network.Word
-	oldest   uint32   // lowest unacknowledged sequence
-	sendq    []uint32 // assigned but not yet injected (backpressure)
-	idlePump int      // Pump calls without ack progress
+	nextSeq uint32
+	// unacked retains every packet from the oldest unacknowledged one to
+	// nextSeq, with the observability message identity of its Send, so
+	// deferred injections and retransmissions attribute to that Send.
+	unacked  sendWindow
+	unsent   uint32 // first sequence number not yet injected (backpressure)
+	idlePump int    // Pump calls without ack progress
 	closed   bool
-
-	// seqMsg maps in-flight sequence numbers to their observability message
-	// identities, so deferred injections and retransmissions attribute to
-	// the Send that buffered them. Allocated lazily: nil while untraced.
-	seqMsg map[uint32]uint64
-}
-
-// msgOf returns the message identity assigned to a sequence number, 0 when
-// untraced.
-func (c *Conn) msgOf(seq uint32) uint64 {
-	if c.seqMsg == nil {
-		return 0
-	}
-	return c.seqMsg[seq]
 }
 
 // inConn is the receiver side of one ordered channel.
 type inConn struct {
+	src       int
+	ch        uint8
 	expected  uint32
-	buffered  map[uint32][]network.Word
+	buffered  reorderBuffer // arrivals past expected
 	delivered uint64
 	sinceAck  int
 	nackedFor uint32
@@ -115,12 +102,7 @@ func NewStream(ep *cmam.Endpoint, cfg StreamConfig) (*Stream, error) {
 	if cfg.NackThreshold == 0 {
 		cfg.NackThreshold = 4
 	}
-	s := &Stream{
-		ep:  ep,
-		cfg: cfg,
-		out: make(map[connKey]*Conn),
-		in:  make(map[connKey]*inConn),
-	}
+	s := &Stream{ep: ep, cfg: cfg}
 	if err := ep.RegisterTag(TagStream, s.sink); err != nil {
 		return nil, err
 	}
@@ -144,13 +126,22 @@ func (s *Stream) sched() *cost.Schedule { return s.ep.Node().Sched }
 // Open returns the source side of channel ch toward dst, creating it on
 // first use.
 func (s *Stream) Open(dst int, ch uint8) *Conn {
-	key := connKey{dst, ch}
-	if c, ok := s.out[key]; ok {
+	if c := s.conn(dst, ch); c != nil {
 		return c
 	}
-	c := &Conn{s: s, dst: dst, ch: ch, unacked: make(map[uint32][]network.Word)}
-	s.out[key] = c
+	c := &Conn{s: s, dst: dst, ch: ch}
+	s.out = append(s.out, c)
 	return c
+}
+
+// conn returns the source side of channel ch toward dst, nil if unopened.
+func (s *Stream) conn(dst int, ch uint8) *Conn {
+	for _, c := range s.out {
+		if c.dst == dst && c.ch == ch {
+			return c
+		}
+	}
+	return nil
 }
 
 // Send transmits one packet's worth of data (at most the hardware packet
@@ -167,23 +158,17 @@ func (c *Conn) Send(data ...network.Word) error {
 	if c.nextSeq > maxStreamSeq {
 		return fmt.Errorf("protocols: stream exhausted its %d-bit sequence space", streamSeqBits)
 	}
-	if max := c.s.cfg.MaxUnacked; max > 0 && len(c.unacked) >= max {
+	if max := c.s.cfg.MaxUnacked; max > 0 && c.unacked.n >= max {
 		return ErrWindowFull
 	}
 	node := c.s.ep.Node()
-	seq := c.nextSeq
-	c.nextSeq++
+	c.nextSeq++ // the packet's sequence number is the window's base+n
 
 	// Each sequenced packet is one causal message: the buffering below, the
 	// (possibly deferred) injection, any retransmission, and the eventual
 	// acknowledgement all attribute to it.
 	prevMsg := node.Obs.CurrentMsg()
-	if msg := node.Obs.NewMsg(); msg != 0 {
-		if c.seqMsg == nil {
-			c.seqMsg = make(map[uint32]uint64)
-		}
-		c.seqMsg[seq] = msg
-	}
+	msg := node.Obs.NewMsg()
 	defer node.Obs.SwapMsg(prevMsg)
 
 	// Step 1: buffer the message to support retransmission (fault
@@ -193,32 +178,27 @@ func (c *Conn) Send(data ...network.Word) error {
 	node.Charge(cost.InOrder, c.s.sched().SeqPerPacket)
 	node.Charge(cost.Base, c.s.sched().StreamSendPacket)
 	node.Event("stream.srcbuffer")
-	buf := make([]network.Word, len(data))
-	copy(buf, data)
-	c.unacked[seq] = buf
-
-	c.sendq = append(c.sendq, seq)
+	c.unacked.push(data, msg)
 	return c.flush()
 }
 
-// flush injects queued packets in order until backpressure.
+// flush injects the packets not yet sent, in order, until backpressure.
 func (c *Conn) flush() error {
 	node := c.s.ep.Node()
-	for len(c.sendq) > 0 {
-		seq := c.sendq[0]
-		data, ok := c.unacked[seq]
+	for ; c.unsent != c.nextSeq; c.unsent++ {
+		seq := c.unsent
+		r, ok := c.unacked.get(seq)
 		if !ok {
 			// Acked while queued (a retransmission raced ahead); skip.
-			c.sendq = c.sendq[1:]
 			continue
 		}
-		prev := node.Obs.SwapMsg(c.msgOf(seq))
-		err := c.inject(seq, data)
+		prev := node.Obs.SwapMsg(r.msg)
+		err := c.inject(seq, r.data)
 		if errors.Is(err, network.ErrBackpressure) {
 			node.Charge(cost.Base, retryProbe)
 			node.Event("stream.backpressure")
 			node.Obs.SwapMsg(prev)
-			node.Obs.SendQueueDepth(len(c.sendq))
+			node.Obs.SendQueueDepth(int(c.nextSeq - c.unsent))
 			return nil
 		}
 		if err != nil {
@@ -227,7 +207,6 @@ func (c *Conn) flush() error {
 		}
 		node.Event("stream.packet.sent")
 		node.Obs.SwapMsg(prev)
-		c.sendq = c.sendq[1:]
 	}
 	node.Obs.SendQueueDepth(0)
 	return nil
@@ -240,10 +219,10 @@ func (c *Conn) inject(seq uint32, data []network.Word) error {
 }
 
 // Unacked returns the number of packets awaiting acknowledgement.
-func (c *Conn) Unacked() int { return len(c.unacked) }
+func (c *Conn) Unacked() int { return c.unacked.n }
 
 // Idle reports whether everything sent has been injected and acknowledged.
-func (c *Conn) Idle() bool { return len(c.unacked) == 0 && len(c.sendq) == 0 }
+func (c *Conn) Idle() bool { return c.unacked.n == 0 && c.unsent == c.nextSeq }
 
 // Close marks the channel closed for further sends.
 func (c *Conn) Close() { c.closed = true }
@@ -263,14 +242,14 @@ func (s *Stream) Pump() error {
 		if err := c.flush(); err != nil {
 			return err
 		}
-		if len(c.unacked) == 0 {
+		if c.unacked.n == 0 {
 			c.idlePump = 0
 			continue
 		}
 		c.idlePump++
 		if s.cfg.RetransmitAfter > 0 && c.idlePump >= s.cfg.RetransmitAfter {
 			c.idlePump = 0
-			if err := c.retransmit(c.oldest); err != nil {
+			if err := c.retransmit(c.unacked.base); err != nil {
 				return err
 			}
 			s.ep.Node().Event("stream.timeout")
@@ -297,16 +276,16 @@ func (s *Stream) Step() (bool, error) {
 // event accompanies the charge (not the injection) so accounting can be
 // reconstructed from event counts exactly.
 func (c *Conn) retransmit(seq uint32) error {
-	data, ok := c.unacked[seq]
+	r, ok := c.unacked.get(seq)
 	if !ok {
 		return nil // already acknowledged
 	}
 	node := c.s.ep.Node()
-	prev := node.Obs.SwapMsg(c.msgOf(seq))
+	prev := node.Obs.SwapMsg(r.msg)
 	defer node.Obs.SwapMsg(prev)
 	node.Charge(cost.FaultTol, c.s.sched().Retransmit)
 	node.Event("stream.retransmit")
-	err := c.inject(seq, data)
+	err := c.inject(seq, r.data)
 	if errors.Is(err, network.ErrBackpressure) {
 		node.Charge(cost.Base, retryProbe)
 		node.Event("stream.backpressure")
@@ -320,11 +299,10 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 	node := s.ep.Node()
 	ch := uint8(head >> streamSeqBits)
 	seq := uint32(head & streamSeqMask)
-	key := connKey{src, ch}
-	in, ok := s.in[key]
-	if !ok {
-		in = &inConn{buffered: make(map[uint32][]network.Word)}
-		s.in[key] = in
+	in := s.inConn(src, ch)
+	if in == nil {
+		in = &inConn{src: src, ch: ch}
+		s.in = append(s.in, in)
 		// Per-channel reception-path setup.
 		node.Charge(cost.Base, s.sched().StreamRecvFixed)
 	}
@@ -339,11 +317,10 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 		}
 		// Drain any buffered packets that are now in order.
 		for {
-			next, ok := in.buffered[in.expected]
+			next, ok := in.buffered.advance()
 			if !ok {
 				break
 			}
-			delete(in.buffered, in.expected)
 			node.Charge(cost.InOrder, s.sched().DrainBuffered)
 			node.Event("stream.drain")
 			if err := s.deliver(src, ch, in, next); err != nil {
@@ -368,20 +345,17 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 			node.Event("stream.ack.sent")
 		}
 	default:
-		if _, dup := in.buffered[seq]; dup {
+		if !in.buffered.put(seq-in.expected, data) {
 			node.Event("stream.duplicate")
 			break
 		}
 		node.Charge(cost.InOrder, s.sched().OutOfOrderArrival)
 		node.Event("stream.outoforder")
-		buf := make([]network.Word, len(data))
-		copy(buf, data)
-		in.buffered[seq] = buf
 	}
 
 	// Loss suspicion: a growing reorder buffer means the expected packet
 	// is not merely overtaken but gone.
-	if s.cfg.NackThreshold > 0 && len(in.buffered) >= s.cfg.NackThreshold &&
+	if s.cfg.NackThreshold > 0 && in.buffered.count >= s.cfg.NackThreshold &&
 		(!in.hasNacked || in.nackedFor != in.expected) {
 		in.hasNacked = true
 		in.nackedFor = in.expected
@@ -394,6 +368,17 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 			return err
 		}
 		node.Event("stream.nack.sent")
+	}
+	return nil
+}
+
+// inConn returns the receiver side of channel ch from src, nil before its
+// first packet.
+func (s *Stream) inConn(src int, ch uint8) *inConn {
+	for _, in := range s.in {
+		if in.src == src && in.ch == ch {
+			return in
+		}
 	}
 	return nil
 }
@@ -436,19 +421,12 @@ func (s *Stream) handleAck(src int, args []network.Word) {
 		s.err = fmt.Errorf("protocols: malformed stream ack from node %d: %v", src, args)
 		return
 	}
-	c, ok := s.out[connKey{src, uint8(args[0])}]
-	if !ok {
+	c := s.conn(src, uint8(args[0]))
+	if c == nil {
 		s.err = fmt.Errorf("protocols: stream ack for unknown channel %d from node %d", args[0], src)
 		return
 	}
-	through := uint32(args[1])
-	for seq := c.oldest; seq <= through; seq++ {
-		delete(c.unacked, seq)
-		delete(c.seqMsg, seq)
-	}
-	if through >= c.oldest {
-		c.oldest = through + 1
-	}
+	c.unacked.release(uint32(args[1]))
 	c.idlePump = 0
 	node.Event("stream.ack.recv")
 }
@@ -461,8 +439,8 @@ func (s *Stream) handleNack(src int, args []network.Word) {
 		s.err = fmt.Errorf("protocols: malformed stream nack from node %d: %v", src, args)
 		return
 	}
-	c, ok := s.out[connKey{src, uint8(args[0])}]
-	if !ok {
+	c := s.conn(src, uint8(args[0]))
+	if c == nil {
 		s.err = fmt.Errorf("protocols: stream nack for unknown channel %d from node %d", args[0], src)
 		return
 	}

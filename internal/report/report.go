@@ -18,12 +18,9 @@ type Cells map[cost.Role]map[cost.Feature]cost.Vec
 
 // FromGauge extracts a breakdown from a measured gauge.
 func FromGauge(g *cost.Gauge) Cells {
-	c := Cells{}
+	c := make(Cells, cost.NumRoles)
 	for _, r := range cost.Roles() {
-		c[r] = map[cost.Feature]cost.Vec{}
-		for _, f := range cost.Features() {
-			c[r][f] = g.Cell(r, f)
-		}
+		c[r] = column(g, r)
 	}
 	return c
 }
@@ -32,10 +29,19 @@ func FromGauge(g *cost.Gauge) Cells {
 // and the Destination column from dst's — the usual two-node experiment
 // where each node accumulates one role.
 func MergeRoles(src, dst *cost.Gauge) Cells {
-	c := Cells{}
-	c[cost.Source] = FromGauge(src)[cost.Source]
-	c[cost.Destination] = FromGauge(dst)[cost.Destination]
-	return c
+	return Cells{
+		cost.Source:      column(src, cost.Source),
+		cost.Destination: column(dst, cost.Destination),
+	}
+}
+
+// column extracts one role's features from a gauge.
+func column(g *cost.Gauge, r cost.Role) map[cost.Feature]cost.Vec {
+	col := make(map[cost.Feature]cost.Vec, cost.NumFeatures)
+	for _, f := range cost.Features() {
+		col[f] = g.Cell(r, f)
+	}
+	return col
 }
 
 // RoleTotal sums a column.

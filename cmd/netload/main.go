@@ -23,6 +23,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -183,11 +184,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		thru, lat float64
 		st        flitnet.Stats
 		idle      uint64
-		hub       *obs.Hub           // per-point span-traced hub, -critpath only
+		critpath  []byte             // per-point rendered report, -critpath only
+		cpErr     error              // the point's reconciliation or rendering failure
 		tl        *timeline.Timeline // per-point windowed timeline, -timeline-out only
 		metrics   []obs.JSONMetric   // per-point registry export, -baseline only
 		drained   bool
 	}
+	cpJSON := cli.Format(*critpathOut) == "json"
 	jobs := len(loads) * len(modes)
 	results := make([]pointResult, jobs)
 	prefix, err := parsweep.RunCtx(srv.Context(), workers, jobs, func(i int) error {
@@ -215,7 +218,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		res := pointResult{thru: thru, lat: lat, st: st, idle: idle, drained: drained}
 		if *critpathOut != "" {
-			res.hub = pointHub
+			// Analyzing here keeps only the rendered report, so the point's
+			// trace is freed with its hub instead of living until the grid
+			// ends.
+			res.critpath, res.cpErr = pointCritpath(pointHub, cpJSON)
 		}
 		if *baselineOut != "" {
 			res.metrics = pointHub.Metrics.JSONMetrics()
@@ -281,34 +287,25 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Load   float64         `json:"load"`
 			Report json.RawMessage `json:"report"`
 		}
-		asJSON := cli.Format(*critpathOut) == "json"
 		err := cli.WriteTo(*critpathOut, stdout, func(w io.Writer) error {
 			flit := []flitReport{}
 			for i := 0; i < prefix; i++ {
 				res := results[i]
-				if res.hub == nil {
-					continue
-				}
 				mode, load := modes[i%len(modes)], loads[i/len(modes)]
-				if err := critpath.Reconcile(res.hub); err != nil {
-					return fmt.Errorf("point %d (%s load %.2f): %w", i, mode, load, err)
+				if res.cpErr != nil {
+					return fmt.Errorf("point %d (%s load %.2f): %w", i, mode, load, res.cpErr)
 				}
-				a := critpath.Analyze(res.hub.Trace.Events())
-				if asJSON {
-					js, err := critpath.JSON(a)
-					if err != nil {
-						return err
-					}
-					flit = append(flit, flitReport{mode.String(), load, js})
+				if cpJSON {
+					flit = append(flit, flitReport{mode.String(), load, res.critpath})
 					continue
 				}
 				fmt.Fprintf(w, "== %s routing, load %.2f ==\n", mode, load)
-				if err := critpath.WriteText(w, a); err != nil {
+				if _, err := w.Write(res.critpath); err != nil {
 					return err
 				}
 				fmt.Fprintln(w)
 			}
-			if !asJSON {
+			if !cpJSON {
 				return nil
 			}
 			out, err := json.MarshalIndent(struct {
@@ -501,6 +498,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 3
 	}
 	return 0
+}
+
+// pointCritpath reconciles one point's trace against its counters and
+// renders its critical-path report: the JSON document when asJSON is set,
+// the text report otherwise.
+func pointCritpath(h *obs.Hub, asJSON bool) ([]byte, error) {
+	if err := critpath.Reconcile(h); err != nil {
+		return nil, err
+	}
+	a := critpath.Analyze(h.Trace.Events())
+	if asJSON {
+		return critpath.JSON(a)
+	}
+	var b bytes.Buffer
+	err := critpath.WriteText(&b, a)
+	return b.Bytes(), err
 }
 
 // measure runs one (topology, mode, pattern, load) point and returns

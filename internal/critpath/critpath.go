@@ -1,16 +1,17 @@
-// Package critpath reconstructs per-message causal span trees from the
+// Package critpath reconstructs per-message causal timelines from the
 // observability layer's trace (internal/obs) and attributes every unit of
-// each message's delivery time to a segment: protocol work on a node
-// (further split by the paper's Feature axes), queueing/transit between
-// nodes, backpressure stalls, and retransmission/recovery waits.
+// each message's delivery time to what the message was doing: protocol
+// work on a node (further split by the paper's Feature axes),
+// queueing/transit between nodes, backpressure stalls, and
+// retransmission/recovery waits.
 //
-// The decomposition is exact by construction: a message's segments
-// telescope — each segment runs from the previous event's time to the next
-// event's — so they sum to the message's total latency with no residue.
-// That exactness extends to the aggregate level: Reconcile cross-checks the
-// per-message event attribution against the metrics registry's counters and
-// demands exact equality, so the report provably accounts for everything
-// the run recorded.
+// The decomposition is exact by construction: each event of a message
+// attributes the gap since the message's previous event, so the gaps
+// telescope to the message's total latency with no residue. That exactness
+// extends to the aggregate level: Reconcile cross-checks the per-message
+// event attribution against the metrics registry's counters and demands
+// exact equality, so the report provably accounts for everything the run
+// recorded.
 //
 // A critical-path pass chains events across concurrent messages: an event's
 // predecessor is the later of the previous event of its own message and the
@@ -28,7 +29,7 @@ import (
 )
 
 // Category classifies what a message was doing (or waiting for) during one
-// segment of its lifetime.
+// gap of its lifetime.
 type Category uint8
 
 // Categories, in report order.
@@ -65,7 +66,7 @@ func (c Category) String() string {
 	}
 }
 
-// Role is which end of the transfer a segment executed on.
+// Role is which end of the transfer a gap's closing event executed on.
 type Role uint8
 
 // Roles, in report order.
@@ -97,27 +98,6 @@ func (r Role) String() string {
 // numAxes covers obs.AxisOther..obs.AxisFaultTol.
 const numAxes = 5
 
-// Segment is one exactly-accounted slice of a message's lifetime: the time
-// from the previous event to the event named here, classified by what that
-// arrival represents.
-type Segment struct {
-	// From and To bound the segment in trace time units; To-From is its
-	// length (possibly zero for coincident events).
-	From, To uint64
-	// Name is the event that closes the segment.
-	Name string
-	// Node is the closing event's node (-1 for network-level events).
-	Node int
-	// Proto is the closing event's protocol/subsystem.
-	Proto string
-	// Axis is the closing event's Feature-axis attribution.
-	Axis obs.Axis
-	// Cat classifies the segment.
-	Cat Category
-	// Role is the end of the transfer the segment executed on.
-	Role Role
-}
-
 // Message is the reconstructed lifetime of one causal message.
 type Message struct {
 	// ID is the message identity (hub-allocated, or synthetic for raw
@@ -132,17 +112,17 @@ type Message struct {
 	// appeared at network level). DstNode is the first other node seen.
 	SrcNode, DstNode int
 	// Start and End bound the message in trace time units; Latency is
-	// End-Start and exactly equals the sum of Segments.
+	// End-Start and exactly equals the sum of ByCategory.
 	Start, End, Latency uint64
 	// Events counts instant events, Spans completed span events, Packets
 	// distinct packet identities.
 	Events, Spans, Packets int
-	// Retries counts retransmission-category closing events.
+	// Retries counts instant events that close a retransmission gap.
 	Retries int
-	// Segments is the exact telescoping decomposition of Latency.
-	Segments []Segment
-	// ByCategory, ByRole, and ByAxis aggregate segment time. ByAxis covers
-	// CatWork segments only, indexed by obs.Axis.
+	// ByCategory, ByRole, and ByAxis are the exact telescoping
+	// decomposition of Latency: each event attributes the gap since the
+	// message's previous event (zero for its first). ByAxis covers
+	// CatWork gaps only, indexed by obs.Axis.
 	ByCategory [numCategories]uint64
 	ByRole     [numRoles]uint64
 	ByAxis     [numAxes]uint64
@@ -178,7 +158,7 @@ type Analysis struct {
 	Unattributed int
 	// TotalEvents is every trace event examined (instants and spans).
 	TotalEvents int
-	// ByCategory, ByRole, ByAxis aggregate segment time across messages.
+	// ByCategory, ByRole, ByAxis aggregate gap time across messages.
 	ByCategory [numCategories]uint64
 	ByRole     [numRoles]uint64
 	ByAxis     [numAxes]uint64
@@ -247,43 +227,38 @@ func gapCategory(named Category, sameNode bool) Category {
 // Analyze reconstructs per-message timelines from a recorded trace. The
 // slice must be in emission order (obs.Tracer.Events returns it that way).
 //
-// It makes two flat passes over the trace. The first gives each message a
-// dense index in first-appearance order and records every event's message
-// index and name-implied category (classified once per distinct name). The
-// second fills one Message arena and one Segment arena, carving each
-// message's Segments at its exact length. No per-message maps or growing
+// Its working state is O(messages + critical path) plus one byte per event.
+// A numbering pass gives each message a dense index in first-appearance
+// order, which sizes the Message arena exactly, and records each event's
+// name-implied category (classified once per distinct name). A fill pass
+// looks each event's message up again and attributes the gap since that
+// message's previous event; the only per-message state it keeps besides
+// the Message is the previous event's node and the packet ids seen. The
+// critical path is found by a backward walk from the last event and read
+// off in a forward pass (criticalPath). No per-message maps or growing
 // slices are kept, so the allocation count does not grow with the trace.
 func Analyze(events []obs.TraceEvent) *Analysis {
 	a := &Analysis{TotalEvents: len(events)}
 	if len(events) == 0 {
 		return a
 	}
-	msgOf, class, nmsg, nodeLo, nodeHi := indexEvents(events)
-	counts := make([]int32, nmsg)
-	for _, k := range msgOf {
-		if k >= 0 {
-			counts[k]++
-		} else {
-			a.Unattributed++
-		}
-	}
+	ids, class, unattributed := indexEvents(events)
+	a.Unattributed = unattributed
+	nmsg := int(ids.n)
 
 	msgs := make([]Message, nmsg)
-	segs := make([]Segment, len(events)-a.Unattributed)
-	pkts := make([]pktSeen, nmsg)
+	state := make([]msgState, nmsg)
 	var extra []msgPkt // (message, packet) pairs beyond each message's first packet
 	var water waterfall
-	next := 0
 	for i := range events {
-		k := msgOf[i]
-		if k < 0 {
+		e := &events[i]
+		if e.MsgID == 0 {
 			continue
 		}
-		e := &events[i]
-		m := &msgs[k]
+		k := ids.get(e.MsgID)
+		m, s := &msgs[k], &state[k]
 		t := eventTime(e)
 		if m.ID == 0 {
-			n := next + int(counts[k])
 			*m = Message{
 				ID:        e.MsgID,
 				Synthetic: e.MsgID >= syntheticBase,
@@ -292,9 +267,8 @@ func Analyze(events []obs.TraceEvent) *Analysis {
 				DstNode:   e.Node,
 				Start:     t,
 				End:       t,
-				Segments:  segs[next:next:n],
 			}
-			next = n
+			s.node = e.Node
 		}
 		if m.DstNode == m.SrcNode && e.Node != m.SrcNode && e.Node >= 0 {
 			m.DstNode = e.Node
@@ -313,31 +287,24 @@ func Analyze(events []obs.TraceEvent) *Analysis {
 			m.Events++
 		}
 		if p := e.PktID; p != 0 {
-			s := &pkts[k]
 			switch {
-			case s.first == 0:
-				s.first, s.last = p, p
-			case p != s.last:
-				s.last = p
-				if p != s.first {
+			case s.firstPkt == 0:
+				s.firstPkt, s.lastPkt = p, p
+			case p != s.lastPkt:
+				s.lastPkt = p
+				if p != s.firstPkt {
 					extra = append(extra, msgPkt{k, p})
 				}
 			}
 		}
 
-		cursor := m.End
-		to := t
-		if to < cursor {
-			to = cursor // clamped: span starts can precede the cursor
-		}
-		cat := gapCategory(class[i], len(m.Segments) == 0 || e.Node == m.Segments[len(m.Segments)-1].Node)
+		// The event closes the gap since the message's previous event,
+		// clamped at zero: a span's close can precede that event.
+		to := max(t, m.End)
+		units := to - m.End
+		cat := gapCategory(class[i], e.Node == s.node)
 		role := roleOf(e.Node, m.SrcNode)
-		m.Segments = append(m.Segments, Segment{
-			From: cursor, To: to,
-			Name: e.Name, Node: e.Node, Proto: e.Proto, Axis: e.Axis,
-			Cat: cat, Role: role,
-		})
-		units := to - cursor
+		s.node = e.Node
 		m.ByCategory[cat] += units
 		m.ByRole[role] += units
 		if cat == CatWork {
@@ -352,7 +319,7 @@ func Analyze(events []obs.TraceEvent) *Analysis {
 		m.End = to
 		m.Latency = m.End - m.Start
 	}
-	countPackets(msgs, pkts, extra)
+	countPackets(msgs, state, extra)
 
 	if nmsg > 0 {
 		a.Messages = make([]*Message, nmsg)
@@ -380,26 +347,22 @@ func Analyze(events []obs.TraceEvent) *Analysis {
 	})
 	slices.Sort(a.Latencies)
 	a.Waterfall = water.rows()
-	a.Critical = criticalPath(events, msgOf, nmsg, class, nodeLo, nodeHi)
+	a.Critical = criticalPath(events, class)
 	return a
 }
 
-// indexEvents is Analyze's first pass. It returns each event's dense message
-// index (-1 for events with no message identity; indices follow first
-// appearance) and name-implied category (ClassifyName), the number
-// of messages, and the range of node values.
-func indexEvents(events []obs.TraceEvent) (msgOf []int32, class []Category, nmsg int, nodeLo, nodeHi int) {
+// indexEvents is Analyze's numbering pass. It returns the message index
+// (every non-zero message id numbered in first-appearance order), each
+// event's name-implied category (ClassifyName), and the number of events
+// with no message identity.
+func indexEvents(events []obs.TraceEvent) (ids *denseIndex, class []Category, unattributed int) {
 	idLo, idHi := ^uint64(0), uint64(0)
-	nodeLo, nodeHi = events[0].Node, events[0].Node
 	for i := range events {
-		e := &events[i]
-		if e.MsgID != 0 {
-			idLo, idHi = min(idLo, e.MsgID), max(idHi, e.MsgID)
+		if id := events[i].MsgID; id != 0 {
+			idLo, idHi = min(idLo, id), max(idHi, id)
 		}
-		nodeLo, nodeHi = min(nodeLo, e.Node), max(nodeHi, e.Node)
 	}
-	ids := newDenseIndex(idLo, idHi, len(events))
-	msgOf = make([]int32, len(events))
+	ids = newDenseIndex(idLo, idHi, len(events))
 	class = make([]Category, len(events))
 	names := make(map[string]Category)
 	prev := ""
@@ -415,17 +378,18 @@ func indexEvents(events []obs.TraceEvent) (msgOf []int32, class []Category, nmsg
 			prev, prevCat = e.Name, c
 		}
 		class[i] = prevCat
-		msgOf[i] = -1
 		if e.MsgID != 0 {
-			msgOf[i] = ids.get(e.MsgID)
+			ids.get(e.MsgID)
+		} else {
+			unattributed++
 		}
 	}
-	return msgOf, class, int(ids.n), nodeLo, nodeHi
+	return ids, class, unattributed
 }
 
 // denseIndex numbers keys 0, 1, 2, ... in first-seen order. Keys whose
 // range is narrow (hub-allocated message ids, the flit simulator's synthetic
-// ids, node numbers) index a flat table; a wider mix falls back to a map.
+// ids) index a flat table; a wider mix falls back to a map.
 type denseIndex struct {
 	lo   uint64
 	slot []int32 // key-lo -> index+1; nil when the range is too wide
@@ -434,8 +398,7 @@ type denseIndex struct {
 }
 
 // newDenseIndex sizes an index for keys in [lo, hi], using a flat table
-// when the range holds at most limit keys. Ranges are compared in wrapping
-// arithmetic, so lo and hi may be any two's-complement values with lo <= hi.
+// when the range holds at most limit keys.
 func newDenseIndex(lo, hi uint64, limit int) *denseIndex {
 	d := &denseIndex{lo: lo}
 	if hi-lo < uint64(limit) {
@@ -465,8 +428,13 @@ func (d *denseIndex) get(key uint64) int32 {
 	return k
 }
 
-// pktSeen is a message's first and latest non-zero packet id.
-type pktSeen struct{ first, last uint64 }
+// msgState is what the fill pass remembers of a message beyond its
+// Message: the node of its previous event, which decides whether the next
+// gap was transit, and its first and latest non-zero packet ids.
+type msgState struct {
+	node              int
+	firstPkt, lastPkt uint64
+}
 
 // msgPkt records that message msg saw packet pkt, a packet id other than
 // its first.
@@ -478,9 +446,9 @@ type msgPkt struct {
 // countPackets sets each message's distinct packet count: one for its
 // first packet id plus the distinct others recorded in extra. Most messages
 // carry a single packet id and never reach extra.
-func countPackets(msgs []Message, pkts []pktSeen, extra []msgPkt) {
+func countPackets(msgs []Message, state []msgState, extra []msgPkt) {
 	for k := range msgs {
-		if pkts[k].first != 0 {
+		if state[k].firstPkt != 0 {
 			msgs[k].Packets = 1
 		}
 	}
@@ -498,7 +466,7 @@ func countPackets(msgs []Message, pkts []pktSeen, extra []msgPkt) {
 }
 
 // waterfall accumulates work units per (role, proto, axis). Consecutive
-// work segments usually share a row, so the last row is checked before the
+// work gaps usually share a row, so the last row is checked before the
 // map.
 type waterfall struct {
 	list []WaterfallRow
@@ -591,56 +559,50 @@ func (a *Analysis) MeanLatency() float64 {
 	return float64(sum) / float64(len(a.Latencies))
 }
 
+// onPath marks, in Analyze's per-event category bytes, the events the
+// critical-path walk visited. Categories fit in the low bits.
+const onPath Category = 0x80
+
 // criticalPath chains events across messages: an event's predecessor is the
-// later of the previous event of its message and the previous event on its
-// node, and the path is the backward chain from the run's last event. One
-// forward pass records predecessor indices, reusing Analyze's message
-// indices; the backtrack is O(path) and sizes Steps exactly.
-func criticalPath(events []obs.TraceEvent, msgOf []int32, nmsg int, class []Category, nodeLo, nodeHi int) CriticalPath {
+// nearest earlier event that shares its message or its node (the later of
+// its message's previous event and its node's), and the path is the
+// backward chain from the run's last event. A backward walk that keeps
+// only the current step marks the path in class and counts it; a forward
+// pass over the marks then fills Steps at their exact length, clamping
+// times and classifying each gap.
+func criticalPath(events []obs.TraceEvent, class []Category) CriticalPath {
 	var cp CriticalPath
-	pred := make([]int32, len(events))
-	lastOfMsg := make([]int32, nmsg) // message -> latest event index+1
-	nodes := newDenseIndex(uint64(nodeLo), uint64(nodeHi), len(events))
-	var lastOnNode []int32 // node index -> latest event index+1
-	for i := range events {
-		p := int32(-1)
-		if k := msgOf[i]; k >= 0 {
-			p = lastOfMsg[k] - 1
-			lastOfMsg[k] = int32(i) + 1
+	c := len(events) - 1
+	node, msg := events[c].Node, events[c].MsgID
+	class[c] |= onPath
+	n := 1
+	for j := c - 1; j >= 0; j-- {
+		e := &events[j]
+		if e.Node == node || msg != 0 && e.MsgID == msg {
+			node, msg = e.Node, e.MsgID
+			class[j] |= onPath
+			n++
 		}
-		j := nodes.get(uint64(events[i].Node))
-		if int(j) == len(lastOnNode) {
-			lastOnNode = append(lastOnNode, 0)
-		}
-		if q := lastOnNode[j] - 1; q > p {
-			p = q
-		}
-		lastOnNode[j] = int32(i) + 1
-		pred[i] = p
 	}
-	n := 0
-	for i := int32(len(events) - 1); i >= 0; i = pred[i] {
-		n++
-	}
-	// Fill the steps backward with each event's raw time and name-implied
-	// category, then walk forward clamping times and classifying gaps.
 	cp.Steps = make([]PathStep, n)
-	for i := int32(len(events) - 1); i >= 0; i = pred[i] {
-		n--
-		e := &events[i]
-		cp.Steps[n] = PathStep{Name: e.Name, Node: e.Node, MsgID: e.MsgID, Time: eventTime(e), Cat: class[i]}
-	}
-	cp.Steps[0].Cat = 0 // the first step closes no gap
-	for k := 1; k < len(cp.Steps); k++ {
-		s, prev := &cp.Steps[k], &cp.Steps[k-1]
-		if s.Time < prev.Time {
-			s.Time = prev.Time
+	k := 0
+	for i, cl := range class {
+		if cl&onPath == 0 {
+			continue
 		}
-		s.Gap = s.Time - prev.Time
-		s.Cat = gapCategory(s.Cat, s.Node == prev.Node)
-		cp.ByCategory[s.Cat] += s.Gap
+		e := &events[i]
+		s := &cp.Steps[k]
+		s.Name, s.Node, s.MsgID, s.Time = e.Name, e.Node, e.MsgID, eventTime(e)
+		if k > 0 { // the first step closes no gap
+			prev := &cp.Steps[k-1]
+			s.Time = max(s.Time, prev.Time)
+			s.Gap = s.Time - prev.Time
+			s.Cat = gapCategory(cl&^onPath, s.Node == prev.Node)
+			cp.ByCategory[s.Cat] += s.Gap
+		}
+		k++
 	}
-	if n := len(cp.Steps); n > 1 {
+	if n > 1 {
 		cp.Span = cp.Steps[n-1].Time - cp.Steps[0].Time
 	}
 	return cp

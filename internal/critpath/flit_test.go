@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"msglayer/internal/critpath"
@@ -87,12 +88,14 @@ func flitPointTrace(tb testing.TB, mode flitnet.Mode, load float64, cycles int) 
 }
 
 // TestFlitGoldenReports pins the text report and the JSON document of two
-// flit-level points byte for byte, and checks that both decompositions
-// telescope on traces where every message is a synthetic worm.
+// flit-level points byte for byte, holds Analyze to the reference analyzer,
+// and checks that both decompositions telescope on traces where every
+// message is a synthetic worm.
 func TestFlitGoldenReports(t *testing.T) {
 	for _, g := range flitGoldens {
 		t.Run(g.name, func(t *testing.T) {
-			a := critpath.Analyze(flitPointTrace(t, g.mode, g.load, flitGoldenCycles))
+			events := flitPointTrace(t, g.mode, g.load, flitGoldenCycles)
+			a := critpath.Analyze(events)
 			var text bytes.Buffer
 			if err := critpath.WriteText(&text, a); err != nil {
 				t.Fatal(err)
@@ -107,16 +110,14 @@ func TestFlitGoldenReports(t *testing.T) {
 			if len(a.Messages) == 0 {
 				t.Fatal("no messages reconstructed")
 			}
+			checkReference(t, events, a)
 			for _, m := range a.Messages {
-				var segs, cats uint64
-				for _, s := range m.Segments {
-					segs += s.To - s.From
-				}
+				var cats uint64
 				for _, v := range m.ByCategory {
 					cats += v
 				}
-				if segs != m.Latency || cats != m.Latency {
-					t.Fatalf("msg %d: segments sum to %d, categories to %d, latency is %d", m.ID, segs, cats, m.Latency)
+				if cats != m.Latency {
+					t.Fatalf("msg %d: categories sum to %d, latency is %d", m.ID, cats, m.Latency)
 				}
 			}
 			var crit uint64
@@ -183,21 +184,45 @@ func flitGrid(tb testing.TB) [][]obs.TraceEvent {
 	return out
 }
 
-// TestAnalyzeAllocsBounded holds Analyze to a fixed allocation count on a
-// flit trace: its arenas are sized up front, so the count does not grow
-// with the number of messages. A short and a full run of the same point
-// must both stay under the bound.
+// TestAnalyzeAllocsBounded holds Analyze to a fixed allocation count and
+// to a bound on bytes allocated per trace event on a flit trace: its arenas
+// are sized up front, so the count does not grow with the number of
+// messages, and its working state is per message and per critical-path
+// step, with one byte per event. A short and a full run of the same point
+// must both stay under the bounds.
 func TestAnalyzeAllocsBounded(t *testing.T) {
-	const bound = 32
+	const (
+		allocBound = 32
+		byteBound  = 110 // per event
+	)
 	for _, cycles := range []int{500, flitGoldenCycles} {
 		events := flitPointTrace(t, flitnet.CR, 0.3, cycles)
 		msgs := len(critpath.Analyze(events).Messages)
 		allocs := testing.AllocsPerRun(3, func() { critpath.Analyze(events) })
-		t.Logf("%d cycles: %d events, %d messages, %.0f allocs", cycles, len(events), msgs, allocs)
-		if allocs > bound {
-			t.Errorf("%d cycles (%d messages): Analyze made %.0f allocations, want at most %d", cycles, msgs, allocs, bound)
+		perEvent := float64(analyzeBytes(events)) / float64(len(events))
+		t.Logf("%d cycles: %d events, %d messages, %.0f allocs, %.1f bytes/event", cycles, len(events), msgs, allocs, perEvent)
+		if allocs > allocBound {
+			t.Errorf("%d cycles (%d messages): Analyze made %.0f allocations, want at most %d", cycles, msgs, allocs, allocBound)
+		}
+		if perEvent > byteBound {
+			t.Errorf("%d cycles (%d events): Analyze allocated %.1f bytes per event, want at most %d", cycles, len(events), perEvent, byteBound)
 		}
 	}
+}
+
+// analyzeBytes returns the heap bytes one Analyze of events allocates, the
+// least of three runs on one P.
+func analyzeBytes(events []obs.TraceEvent) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		critpath.Analyze(events)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // BenchmarkAnalyzeFlit analyzes the 15 flit-grid traces once per op.

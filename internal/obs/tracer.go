@@ -31,10 +31,10 @@ type TraceEvent struct {
 	Proto string
 	// Axis is the paper Feature axis the event is attributed to.
 	Axis Axis
-	// Dur is the event length in time units (PhaseComplete only).
-	Dur uint64
 	// Phase distinguishes instant events from spans.
 	Phase Phase
+	// Dur is the event length in time units (PhaseComplete only).
+	Dur uint64
 	// MsgID is the causal message identity the event belongs to; 0 when
 	// the event is not attributable to a message.
 	MsgID uint64

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // sliceTracer is the tracer as it was before the chunked store: one
@@ -190,6 +191,17 @@ func TestTracerEventsViewFresh(t *testing.T) {
 	tr.Record(TraceEvent{Round: 2, Name: "c"})
 	if ev := tr.Events(); len(ev) != 1 || ev[0].Name != "c" || ev[0].Seq != 1 || ev[0].TS != 2*RoundUnits {
 		t.Fatalf("first event after Reset: %+v", ev)
+	}
+}
+
+// TestTraceEventSize holds the materialized event to 112 bytes: every
+// Events() view costs that much per event while its reader holds it.
+func TestTraceEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes differ off 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(TraceEvent{}); got > 112 {
+		t.Errorf("TraceEvent takes %d bytes, want at most 112", got)
 	}
 }
 

@@ -281,40 +281,40 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	if *critpathOut != "" {
 		// A .json destination gets every point's report in point order, in
-		// the {"flit": [...]} shape obsdiff loads; otherwise text sections.
-		type flitReport struct {
-			Mode   string          `json:"mode"`
-			Load   float64         `json:"load"`
-			Report json.RawMessage `json:"report"`
-		}
+		// the {"flit": [...]} shape obsdiff loads, with json.MarshalIndent's
+		// bytes for that document; otherwise text sections. Each report is
+		// re-indented into place and dropped in turn, so the document is
+		// never held whole.
+		var indented bytes.Buffer
 		err := cli.WriteTo(*critpathOut, stdout, func(w io.Writer) error {
-			flit := []flitReport{}
+			if cpJSON {
+				if _, err := io.WriteString(w, critpathJSONHead); err != nil {
+					return err
+				}
+			}
 			for i := 0; i < prefix; i++ {
-				res := results[i]
+				res := &results[i]
 				mode, load := modes[i%len(modes)], loads[i/len(modes)]
 				if res.cpErr != nil {
 					return fmt.Errorf("point %d (%s load %.2f): %w", i, mode, load, res.cpErr)
 				}
 				if cpJSON {
-					flit = append(flit, flitReport{mode.String(), load, res.critpath})
-					continue
+					if err := writeFlitReport(w, &indented, i > 0, mode.String(), load, res.critpath); err != nil {
+						return err
+					}
+				} else {
+					fmt.Fprintf(w, "== %s routing, load %.2f ==\n", mode, load)
+					if _, err := w.Write(res.critpath); err != nil {
+						return err
+					}
+					fmt.Fprintln(w)
 				}
-				fmt.Fprintf(w, "== %s routing, load %.2f ==\n", mode, load)
-				if _, err := w.Write(res.critpath); err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
+				res.critpath = nil
 			}
 			if !cpJSON {
 				return nil
 			}
-			out, err := json.MarshalIndent(struct {
-				Flit []flitReport `json:"flit"`
-			}{flit}, "", "  ")
-			if err != nil {
-				return err
-			}
-			_, err = w.Write(append(out, '\n'))
+			_, err := io.WriteString(w, critpathJSONTail(prefix))
 			return err
 		})
 		if err != nil {
@@ -498,6 +498,45 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 3
 	}
 	return 0
+}
+
+// critpathJSONHead and critpathJSONTail bracket the elements of the
+// -critpath JSON document's "flit" array, whose bytes are those
+// json.MarshalIndent(doc, "", "  ") gives the whole document, plus a
+// newline.
+const critpathJSONHead = "{\n  \"flit\": ["
+
+func critpathJSONTail(points int) string {
+	if points == 0 {
+		return "]\n}\n"
+	}
+	return "\n  ]\n}\n"
+}
+
+// writeFlitReport writes one element of the -critpath JSON document's
+// "flit" array, preceded by a comma unless it is the first: the mode and
+// load marshaled, the report re-indented to the element's depth through
+// buf.
+func writeFlitReport(w io.Writer, buf *bytes.Buffer, comma bool, mode string, load float64, report []byte) error {
+	m, err := json.Marshal(mode)
+	if err != nil {
+		return err
+	}
+	l, err := json.Marshal(load)
+	if err != nil {
+		return err
+	}
+	buf.Reset()
+	if comma {
+		buf.WriteByte(',')
+	}
+	fmt.Fprintf(buf, "\n    {\n      \"mode\": %s,\n      \"load\": %s,\n      \"report\": ", m, l)
+	if err := json.Indent(buf, report, "      ", "  "); err != nil {
+		return err
+	}
+	buf.WriteString("\n    }")
+	_, err = w.Write(buf.Bytes())
+	return err
 }
 
 // pointCritpath reconciles one point's trace against its counters and

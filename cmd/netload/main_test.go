@@ -465,6 +465,24 @@ func TestObsNetloadCritpath(t *testing.T) {
 	if err := json.Unmarshal([]byte(js), &doc); err != nil {
 		t.Fatalf("JSON critpath report does not parse: %v", err)
 	}
+	// The document is written point by point, in the bytes MarshalIndent
+	// gives it whole.
+	whole, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(whole)+"\n" != js {
+		t.Error("JSON critpath report differs from json.MarshalIndent of the same document")
+	}
+	none := doc
+	none.Flit = none.Flit[:0]
+	empty, err := json.MarshalIndent(none, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := critpathJSONHead + critpathJSONTail(0); got != string(empty)+"\n" {
+		t.Errorf("empty JSON critpath document = %q, want %q", got, string(empty)+"\n")
+	}
 	var order []string
 	for _, p := range doc.Flit {
 		order = append(order, fmt.Sprintf("%s/%.2f", p.Mode, p.Load))

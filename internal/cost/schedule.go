@@ -79,8 +79,9 @@ type Schedule struct {
 	CRRetryBookkeep   Items // software cost of a rejected header retry
 }
 
-// paperSchedules memoizes one read-only paper schedule per packet size;
-// NewPaperSchedule hands out shallow copies of them.
+// paperSchedules memoizes one paper schedule per packet size. Each is
+// shared by every caller and read-only; NewPaperSchedule hands out the
+// memoized pointer itself.
 var paperSchedules sync.Map // int -> *Schedule
 
 // NewPaperSchedule returns the schedule calibrated to the paper's CM-5/CMAM
@@ -88,11 +89,10 @@ var paperSchedules sync.Map // int -> *Schedule
 // positive even number (double-word loads/stores move two words at a time);
 // the paper's CM-5 has n = 4 and Figure 8 sweeps n from 4 to 128.
 //
-// Each call returns a fresh Schedule whose bundles are shared, read-only
-// and clipped to their length: assigning a field of the copy, or appending
-// to one of its bundles, never affects another caller. Writing into a
-// bundle's elements is not allowed. NewPaperSchedule is safe for
-// concurrent use.
+// Every call for the same n returns the same Schedule, shared with every
+// other caller: it is read-only. A caller that wants to edit a schedule
+// edits a Clone, or derives one with WithImprovedNI or
+// WithInterruptReception. NewPaperSchedule is safe for concurrent use.
 func NewPaperSchedule(n int) (*Schedule, error) {
 	if n <= 0 || n%2 != 0 {
 		return nil, fmt.Errorf("cost: packet payload must be a positive even word count, got %d", n)
@@ -101,8 +101,16 @@ func NewPaperSchedule(n int) (*Schedule, error) {
 	if !ok {
 		shared, _ = paperSchedules.LoadOrStore(n, buildPaperSchedule(n))
 	}
-	c := *shared.(*Schedule)
-	return &c, nil
+	return shared.(*Schedule), nil
+}
+
+// Clone returns a copy of the schedule whose fields the caller may
+// reassign. The bundles are shared with the original and clipped to their
+// length, so appending to one of the copy's bundles never affects the
+// original; writing into a bundle's elements is not allowed.
+func (s *Schedule) Clone() *Schedule {
+	c := *s
+	return &c
 }
 
 // buildPaperSchedule builds the paper schedule for a valid packet size n,
@@ -422,7 +430,7 @@ func (s *Schedule) WithImprovedNI(factor uint64) *Schedule {
 	if factor == 0 {
 		factor = 1
 	}
-	c := *s
+	c := s.Clone()
 	c.Name = fmt.Sprintf("%s+improved-ni/%d", s.Name, factor)
 	shrink := func(items Items) Items {
 		if items == nil {
@@ -440,7 +448,7 @@ func (s *Schedule) WithImprovedNI(factor uint64) *Schedule {
 	for _, f := range c.bundles() {
 		*f = shrink(*f)
 	}
-	return &c
+	return c
 }
 
 // WithInterruptReception returns a copy of the schedule modeling
@@ -451,7 +459,7 @@ func (s *Schedule) WithImprovedNI(factor uint64) *Schedule {
 // context save/restore. Running the experiments under this schedule
 // quantifies that remark.
 func (s *Schedule) WithInterruptReception(trapCost uint64) *Schedule {
-	c := *s
+	c := s.Clone()
 	c.Name = fmt.Sprintf("%s+interrupts/%d", s.Name, trapCost)
 	trap := Item{Cat: Reg, Sub: SubCallRet, N: trapCost}
 	addTrap := func(items Items) Items {
@@ -469,7 +477,7 @@ func (s *Schedule) WithInterruptReception(trapCost uint64) *Schedule {
 	} {
 		*f = addTrap(*f)
 	}
-	return &c
+	return c
 }
 
 // bundles returns pointers to every charge bundle in the schedule, for

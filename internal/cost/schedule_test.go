@@ -305,13 +305,13 @@ func TestWithImprovedNIShrinksOnlyDev(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	s := MustPaperSchedule(4)
+	s := MustPaperSchedule(4).Clone()
 	s.SendSingle = Items{{Reg, SubCallRet, 1}}
 	if err := s.Validate(); err == nil {
 		t.Error("Validate accepted corrupted single-packet bundle")
 	}
 
-	s2 := MustPaperSchedule(4)
+	s2 := MustPaperSchedule(4).Clone()
 	s2.PacketWords = 3
 	if err := s2.Validate(); err == nil {
 		t.Error("Validate accepted odd packet size")
@@ -363,25 +363,29 @@ func TestDescribeListsEveryBundle(t *testing.T) {
 }
 
 // The memoized schedule is exactly the one an uncached build produces, for
-// every packet size Figure 8 can ask for, and each call gets its own copy.
+// every packet size Figure 8 can ask for, and every call for a size returns
+// that one shared schedule.
 func TestMemoizedScheduleMatchesFreshBuild(t *testing.T) {
 	for n := 2; n <= 128; n += 2 {
 		got := MustPaperSchedule(n)
 		if want := buildPaperSchedule(n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: memoized schedule differs from a fresh build", n)
 		}
-		if again := MustPaperSchedule(n); again == got {
-			t.Fatalf("n=%d: two calls returned the same *Schedule", n)
+		if again := MustPaperSchedule(n); again != got {
+			t.Fatalf("n=%d: two calls returned different *Schedules", n)
 		}
 	}
 }
 
-// Whatever one caller does to its copy — assigning fields, appending to a
-// bundle, deriving variants — the next caller sees the pristine schedule.
+// Whatever one caller does to a clone — assigning fields, appending to a
+// bundle, deriving variants — the shared schedule stays pristine.
 func TestScheduleCopiesAreIsolated(t *testing.T) {
 	pristine := buildPaperSchedule(4)
 
-	a := MustPaperSchedule(4)
+	a := MustPaperSchedule(4).Clone()
+	if a == MustPaperSchedule(4) || !reflect.DeepEqual(a, pristine) {
+		t.Fatal("Clone returned the shared schedule or a different one")
+	}
 	a.Name = "edited"
 	a.PacketWords = 6
 	a.SendSingle = Items{{Reg, SubCallRet, 1}}
@@ -403,7 +407,8 @@ func TestScheduleCopiesAreIsolated(t *testing.T) {
 }
 
 // Concurrent first calls for the same and different packet sizes all get
-// equal, independent schedules (run under -race to check the memo).
+// the one shared schedule per size, which they read while other goroutines
+// edit clones of it (run under -race to check the memo).
 func TestNewPaperScheduleConcurrent(t *testing.T) {
 	// Empty the memo so every run of this test races on first fills.
 	paperSchedules.Range(func(n, _ any) bool {
@@ -422,7 +427,7 @@ func TestNewPaperScheduleConcurrent(t *testing.T) {
 					errs <- "bad schedule"
 					return
 				}
-				s.Name = "mine" // each goroutine writes its own copy
+				s.Clone().Name = "mine" // each goroutine writes its own clone
 			}
 		}(g)
 	}

@@ -154,7 +154,7 @@ func runFlit(t *testing.T, dense bool) *obs.Hub {
 	for i := 0; i < 6; i++ {
 		p := network.Packet{Src: i % 4, Dst: (i + 1) % 4, Data: []network.Word{network.Word(i)}}
 		if i%2 == 0 {
-			p.Msg, p.Pkt, p.Span = uint64(i+1), uint64(i+1), uint64(i+100)
+			p.Trace = &network.Trace{Msg: uint64(i + 1), Pkt: uint64(i + 1), Span: uint64(i + 100)}
 		}
 		if err := net.Inject(p); err != nil {
 			t.Fatal(err)

@@ -17,10 +17,10 @@ var hostProtocols = []string{"finite", "indefinite", "finite-cr", "indefinite-cr
 // the transfer and the merged report. Lower it when a change allocates
 // less; a rise is a regression of the per-transfer fixed cost.
 var transferSetupAllocs = map[string]float64{
-	"finite":        50,
-	"indefinite":    48,
-	"finite-cr":     40,
-	"indefinite-cr": 35,
+	"finite":        49,
+	"indefinite":    47,
+	"finite-cr":     39,
+	"indefinite-cr": 34,
 }
 
 // BenchmarkTransferSetup measures a transfer's fixed host cost: building a

@@ -752,7 +752,8 @@ func (n *Net) Inject(p network.Packet) error {
 	}
 	if n.queued[p.Src] >= n.cfg.InjectQueue {
 		n.stats.Backpressure++
-		n.obs.Event("flit.backpressure", n.cycle, p.Msg, p.Pkt, p.Span)
+		msg, span, pkt := p.Trace.IDs()
+		n.obs.Event("flit.backpressure", n.cycle, msg, pkt, span)
 		return network.ErrBackpressure
 	}
 	data := n.getWords(len(p.Data))
@@ -795,8 +796,8 @@ const syntheticMsgBase = uint64(1) << 32
 // inject packets directly, with no protocol above) still reconstruct into
 // per-message span trees.
 func (w *worm) identity() (msg, pkt, parent uint64) {
-	if w.packet.Msg != 0 || w.packet.Span != 0 {
-		return w.packet.Msg, w.packet.Pkt, w.packet.Span
+	if msg, span, pkt := w.packet.Trace.IDs(); msg != 0 || span != 0 {
+		return msg, pkt, span
 	}
 	return syntheticMsgBase + w.id, w.id + 1, 0
 }

@@ -27,7 +27,7 @@ func TestNewValidates(t *testing.T) {
 		t.Error("accepted schedule/network packet size mismatch")
 	}
 	// Corrupted schedule.
-	bad := cost.MustPaperSchedule(4)
+	bad := cost.MustPaperSchedule(4).Clone()
 	bad.SendSingle = nil
 	if _, err := New(net, bad); err == nil {
 		t.Error("accepted invalid schedule")

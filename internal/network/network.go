@@ -32,7 +32,9 @@ type Tag uint8
 
 // Packet is one hardware packet: on the CM-5, five words — here one
 // metadata head word plus up to PacketWords data words. The networks move
-// packets by value, so the small fields are packed together: 80 bytes.
+// packets by value at every hop, so a Packet is kept to 64 bytes: on amd64
+// Go copies a struct that small with a few register moves, and a larger
+// one with a call to runtime.duffcopy.
 type Packet struct {
 	Src, Dst int
 	Head     Word // protocol metadata: handler id, segment/offset, sequence
@@ -43,14 +45,29 @@ type Packet struct {
 	Corrupt bool
 	Data    []Word // payload, at most the network's packet payload size
 
-	// Msg, Span, and Pkt are observability identities stamped by the
-	// sending messaging layer (see internal/obs): the causal message the
-	// packet belongs to, the sender's open span (the packet's causal parent
-	// at the receiver), and the packet's own id. All zero when tracing is
-	// off; the substrates carry them end to end but never interpret them.
-	Msg, Span, Pkt uint64
+	// Trace is the observability identity stamped by the sending
+	// messaging layer (see internal/obs), nil when tracing is off. The
+	// substrates carry the pointer end to end but never interpret it.
+	Trace *Trace
 
 	flow uint64 // per-(src,dst) injection sequence, set by the network
+}
+
+// Trace is a packet's observability identity: the causal message the
+// packet belongs to, the sender's open span (the packet's causal parent at
+// the receiver), and the packet's own id. It is immutable once stamped, so
+// every hop can share one record by pointer.
+type Trace struct {
+	Msg, Span, Pkt uint64
+}
+
+// IDs returns the record's ids, all zero for a nil record (an untraced
+// packet).
+func (t *Trace) IDs() (msg, span, pkt uint64) {
+	if t == nil {
+		return 0, 0, 0
+	}
+	return t.Msg, t.Span, t.Pkt
 }
 
 // FlowSeq returns the packet's per-(src,dst) injection sequence number,

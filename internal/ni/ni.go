@@ -42,7 +42,11 @@ type NI struct {
 	// Pure simulator-side metadata: staging it models no device access and
 	// costs no Access counters, so the calibrated dev-charge cross-checks
 	// are unaffected.
-	sendMsg, sendSpan, sendPkt uint64
+	sendTrace network.Trace
+	// traces is the unused rest of a chunk of identity records: a traced
+	// packet carries a pointer to one, so tracing costs one allocation per
+	// chunk of packets instead of one per packet.
+	traces []network.Trace
 
 	// Receive staging register: the packet at the head of the FIFO.
 	recv      network.Packet
@@ -102,7 +106,7 @@ func (n *NI) StageDest(dst int, tag network.Tag) {
 	n.sendHead = 0
 	n.sendData = n.sendData[:0]
 	n.sendStaged = true
-	n.sendMsg, n.sendSpan, n.sendPkt = 0, 0, 0
+	n.sendTrace = network.Trace{}
 }
 
 // StageTrace attaches observability identity (message, parent span, packet
@@ -110,7 +114,7 @@ func (n *NI) StageDest(dst int, tag network.Tag) {
 // perturb the Access counters the dev-charge cross-checks audit — and is
 // cleared by StageDest along with the rest of the staging registers.
 func (n *NI) StageTrace(msg, span, pkt uint64) {
-	n.sendMsg, n.sendSpan, n.sendPkt = msg, span, pkt
+	n.sendTrace = network.Trace{Msg: msg, Span: span, Pkt: pkt}
 }
 
 // StageHead stores the protocol metadata word (one device store).
@@ -126,34 +130,49 @@ func (n *NI) StageData(words ...network.Word) {
 	n.sendData = append(n.sendData, words...)
 }
 
+// traceChunk is the number of identity records a traced NI allocates at
+// once.
+const traceChunk = 32
+
 // Push commits the staged packet to the network and clears the staging
 // registers on success. Backpressure and rejection leave the staged packet
 // intact so the caller can retry the push after re-checking status. Every
 // Network's Inject copies the payload, so the staging buffer is reused for
 // the next packet.
+//
+// A traced packet's identity record is the next one of the NI's chunk. A
+// refused push does not use it up: the retry, or the next packet, is
+// stamped into the same record.
 func (n *NI) Push() error {
 	if !n.sendStaged {
 		return ErrNothingStaged
 	}
-	err := n.net.Inject(network.Packet{
+	p := network.Packet{
 		Src:  n.node,
 		Dst:  n.sendDst,
 		Tag:  n.sendTag,
 		Head: n.sendHead,
 		Data: n.sendData,
-		Msg:  n.sendMsg,
-		Span: n.sendSpan,
-		Pkt:  n.sendPkt,
-	})
-	if err != nil {
+	}
+	if n.sendTrace != (network.Trace{}) {
+		if len(n.traces) == 0 {
+			n.traces = make([]network.Trace, traceChunk)
+		}
+		n.traces[0] = n.sendTrace
+		p.Trace = &n.traces[0]
+	}
+	if err := n.net.Inject(p); err != nil {
 		return err
+	}
+	if p.Trace != nil {
+		n.traces = n.traces[1:]
 	}
 	n.sendDst = -1
 	n.sendTag = 0
 	n.sendHead = 0
 	n.sendData = n.sendData[:0]
 	n.sendStaged = false
-	n.sendMsg, n.sendSpan, n.sendPkt = 0, 0, 0
+	n.sendTrace = network.Trace{}
 	return nil
 }
 
@@ -164,7 +183,7 @@ func (n *NI) RecvTrace() (msg, span, pkt uint64) {
 	if !n.recvValid {
 		return 0, 0, 0
 	}
-	return n.recv.Msg, n.recv.Span, n.recv.Pkt
+	return n.recv.Trace.IDs()
 }
 
 // SendOK reads the status register confirming the previous send: true when

@@ -294,3 +294,97 @@ func TestStagingReuseKeepsPayloadsApart(t *testing.T) {
 		}
 	}
 }
+
+// A traced packet carries a record of the NI's chunk; a backpressured push
+// does not use one up, so the retried packet takes the record the refused
+// push was stamped into, and the next packet the one after it.
+func TestBackpressuredPushKeepsTraceRecord(t *testing.T) {
+	net := network.MustCM5Net(network.CM5Config{Nodes: 2, Capacity: 1})
+	src, dst := MustNew(0, net), MustNew(1, net)
+	push := func(msg uint64) error {
+		src.StageDest(1, 0)
+		src.StageTrace(msg, msg+10, msg+20)
+		return src.Push()
+	}
+	recv := func(want uint64) {
+		t.Helper()
+		if !dst.RecvReady() {
+			t.Fatal("packet lost")
+		}
+		if msg, span, pkt := dst.RecvTrace(); msg != want || span != want+10 || pkt != want+20 {
+			t.Errorf("RecvTrace = %d, %d, %d, want %d, %d, %d", msg, span, pkt, want, want+10, want+20)
+		}
+		dst.Discard()
+	}
+	if err := push(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := push(2); !errors.Is(err, network.ErrBackpressure) {
+		t.Fatalf("Push = %v, want backpressure", err)
+	}
+	if len(src.traces) != traceChunk-1 {
+		t.Errorf("a refused push used up a record: %d of %d left", len(src.traces), traceChunk)
+	}
+	recv(1)
+	if err := src.Push(); err != nil {
+		t.Fatalf("retry push = %v", err)
+	}
+	recv(2)
+	if err := push(3); err != nil {
+		t.Fatal(err)
+	}
+	recv(3)
+	if len(src.traces) != traceChunk-3 {
+		t.Errorf("three traced packets used %d records", traceChunk-len(src.traces))
+	}
+	// An untraced packet carries no record and uses none.
+	src.StageDest(1, 0)
+	if err := src.Push(); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.RecvReady() {
+		t.Fatal("packet lost")
+	}
+	if msg, span, pkt := dst.RecvTrace(); msg != 0 || span != 0 || pkt != 0 {
+		t.Errorf("untraced RecvTrace = %d, %d, %d", msg, span, pkt)
+	}
+	if len(src.traces) != traceChunk-3 {
+		t.Errorf("an untraced packet used a record")
+	}
+}
+
+// Tracing a multi-packet transfer costs at most one allocation per chunk
+// of packets over the untraced transfer: the identity records come from
+// the NI's chunk, not one allocation each.
+func TestTracedTransferAllocsPerChunk(t *testing.T) {
+	const packets = 4 * traceChunk
+	words := []network.Word{10, 20, 30, 40}
+	transfer := func(traced bool) float64 {
+		src, dst, _ := newPair(t)
+		return testing.AllocsPerRun(20, func() {
+			for i := uint64(1); i <= packets; i++ {
+				src.StageDest(1, 3)
+				src.StageData(words...)
+				if traced {
+					src.StageTrace(1, 2, i)
+				}
+				if err := src.Push(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := uint64(1); i <= packets; i++ {
+				if !dst.RecvReady() {
+					t.Fatal("packet lost")
+				}
+				if _, _, pkt := dst.RecvTrace(); traced && pkt != i {
+					t.Fatalf("packet %d arrived as %d", i, pkt)
+				}
+				dst.Discard()
+			}
+		})
+	}
+	untraced, traced := transfer(false), transfer(true)
+	if extra := traced - untraced; extra > packets/traceChunk {
+		t.Errorf("tracing %d packets made %.0f more allocations, want <= %d", packets, extra, packets/traceChunk)
+	}
+}

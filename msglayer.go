@@ -271,9 +271,8 @@ func Run(maxRounds int, steppers ...Stepper) error {
 }
 
 // NewPaperSchedule returns the paper-calibrated charge schedule for
-// packets of n data words. The copy's fields may be reassigned, but its
-// bundles are shared with every other caller and must not be written in
-// place.
+// packets of n data words. The schedule is one shared, read-only value per
+// packet size; edit a Clone of it instead.
 func NewPaperSchedule(n int) (*Schedule, error) { return cost.NewPaperSchedule(n) }
 
 // Rendering helpers in the paper's table layouts.
